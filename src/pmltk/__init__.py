@@ -5,6 +5,8 @@ truth: graph-based label enrichment, joint confidence/predictor
 training, ranking metrics and a reproducible benchmark harness.
 """
 
+import logging
+
 from .data import (
     DENSE_FORMAT,
     FORMATS,
@@ -72,3 +74,6 @@ from .trainer import (
 )
 
 __version__ = "0.1.0"
+
+# Library logging: silent unless the application configures a handler.
+logging.getLogger(__name__).addHandler(logging.NullHandler())

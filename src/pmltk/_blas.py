@@ -1,0 +1,90 @@
+"""Run pmltk's numeric work on one BLAS thread.
+
+The matrices here are small (l x l label matrices, desk-scale n and d),
+where a multithreaded OpenBLAS spends more time waking and joining
+threads than computing. The thread count also changes how some products
+are split, and so the last bits of their results. Each public numeric
+entry point is therefore wrapped in :data:`single_threaded`: the outermost
+call sets every OpenBLAS bundled with numpy and scipy to one thread, and
+its return restores the earlier count. The thread count is process-wide,
+so the nesting depth is too; a lock keeps concurrent callers from
+restoring while another is still inside. The libraries are looked up on
+first use, not at import. Without a bundled OpenBLAS nothing is pinned.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import ctypes
+import functools
+import glob
+import os
+import threading
+
+import numpy
+import scipy
+
+# (get, set) thread-count entry points of the OpenBLAS builds in numpy and
+# scipy wheels: scipy-openblas with 64- and 32-bit integers, then plain OpenBLAS.
+_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS in ``numpy.libs`` and ``scipy.libs``."""
+    found = []
+    for pkg in (numpy, scipy):
+        libdir = os.path.join(os.path.dirname(os.path.dirname(pkg.__file__)), pkg.__name__ + ".libs")
+        for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
+            try:
+                lib = ctypes.CDLL(path)
+            except OSError:
+                continue
+            for get_name, set_name in _SYMBOLS:
+                get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    found.append((get, put))
+                    break
+    return tuple(found)
+
+
+def thread_counts() -> list[int]:
+    """Current thread count of each OpenBLAS found; empty when there is none."""
+    return [get() for get, _ in _openblas()]
+
+
+class _SingleThreaded(contextlib.ContextDecorator):
+    """Context manager and decorator pinning BLAS to one thread while any caller is inside."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved: list[int] = []
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                self._saved = thread_counts()
+                for _, put in _openblas():
+                    put(1)
+            self._depth += 1
+        return self
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for (_, put), count in zip(_openblas(), self._saved):
+                    put(count)
+        return False
+
+
+# One instance, because the BLAS thread count it guards is one per process.
+single_threaded = _SingleThreaded()

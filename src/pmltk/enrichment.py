@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import single_threaded
 from .data import Dataset
 from .errors import ConfigError, DataError, ParseError, ShapeError, ValidationError
 from .graph import WeightGraph
@@ -97,6 +98,7 @@ def normalize_step(F, Y) -> np.ndarray:
     return out
 
 
+@single_threaded
 def enrich(ds: Dataset, graph: WeightGraph, cfg: PropagationConfig) -> EnrichmentMatrix:
     """Run the propagation to a fixed point and sign the result.
 

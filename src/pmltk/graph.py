@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
+from ._blas import single_threaded
 from .errors import ConfigError, NumericError, ShapeError, ValidationError
 
 #: Row sums at or below this are treated as degenerate during normalization.
@@ -186,6 +187,7 @@ def normalize_rows(neighbors: np.ndarray, raw_weights: np.ndarray) -> WeightGrap
     return WeightGraph(neighbors, normalized)
 
 
+@single_threaded
 def build_graph(X: np.ndarray, cfg: KnnConfig) -> WeightGraph:
     """End to end: neighbor search, per-instance weight solve, row normalization."""
     X = np.asarray(X, dtype=np.float64)

@@ -9,17 +9,19 @@ against ground truth.
 
 Every random draw is seeded through a hierarchy rooted at the master
 seed (numpy ``SeedSequence`` spawn keys), so adding splits never
-perturbs the results of earlier splits and the whole report is a
-deterministic function of (dataset, config, seed).
+perturbs the results of earlier splits. The run holds BLAS at one
+thread (see ``_blas``), so for a given numpy/scipy build the whole
+report is a deterministic function of (dataset, config, seed).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
+from ._blas import single_threaded
 from .data import (
     FORMATS,
     SPARSE_FORMAT,
@@ -149,6 +151,7 @@ def _fold_indices(n: int, folds: int, seed: int) -> list[np.ndarray]:
     return [np.sort(p) for p in parts]
 
 
+@single_threaded
 def select_lambda2(
     train: Dataset,
     grid,
@@ -199,11 +202,16 @@ def select_lambda2(
 
 @contextmanager
 def _stage(name: str):
-    """Re-raise package errors with the failing pipeline stage prefixed."""
+    """Re-raise package errors with the failing pipeline stage prefixed.
+
+    The message is changed on the exception itself, so its type and
+    attributes (such as ``ParseError.line``) survive.
+    """
     try:
         yield
     except PmltkError as exc:
-        raise type(exc)(f"{name} stage: {exc}") from exc
+        exc.args = (f"{name} stage: {exc}",)
+        raise
 
 
 def _run_split(noisy: Dataset, cfg: ExperimentConfig, index: int):
@@ -258,6 +266,7 @@ def format_summary(reports, lambdas) -> str:
     return "\n".join(lines)
 
 
+@single_threaded
 def run_benchmark(cfg: ExperimentConfig) -> dict:
     """Repeated-split protocol; writes the report file when requested.
 
@@ -271,7 +280,8 @@ def run_benchmark(cfg: ExperimentConfig) -> dict:
         try:
             _, report, lam2 = _run_split(noisy, cfg, i)
         except PmltkError as exc:
-            raise type(exc)(f"split {i} failed: {exc}") from exc
+            exc.args = (f"split {i} failed: {exc}",)
+            raise
         reports.append(report)
         lambdas.append(lam2)
     agg = aggregate(reports)
@@ -286,8 +296,3 @@ def run_benchmark(cfg: ExperimentConfig) -> dict:
         "std": {name: agg[name][1] for name in METRIC_NAMES},
         "lambda2_per_split": lambdas,
     }
-
-
-def with_noise(cfg: ExperimentConfig, noise: int) -> ExperimentConfig:
-    """Copy of the config at a different corruption level."""
-    return replace(cfg, noise=noise)

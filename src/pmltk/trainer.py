@@ -16,11 +16,13 @@ matrix is ever inverted explicitly.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from ._blas import single_threaded
 from .errors import (
     ConfigError,
     DataError,
@@ -29,6 +31,8 @@ from .errors import (
     ShapeError,
     ValidationError,
 )
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -198,6 +202,7 @@ def update_w(state: TrainerState, X, cfg: TrainerConfig, solver: RidgeSolver | N
     return solver.solve(state.C)
 
 
+@single_threaded
 def fit(X, Yhat, Y, cfg: TrainerConfig = TrainerConfig()):
     """Alternating minimization over (C, B, W).
 
@@ -205,7 +210,8 @@ def fit(X, Yhat, Y, cfg: TrainerConfig = TrainerConfig()):
     candidate set, B and Bhat start at the identity, Theta and W at
     zero. The loop runs confidence, correlation and predictor updates
     until the relative objective change drops below ``cfg.outer_tol``
-    or ``cfg.outer_max`` is hit.
+    or ``cfg.outer_max`` is hit; the latter logs a warning on the
+    ``pmltk.trainer`` logger.
 
     Returns ``(model, state, trace)`` where ``trace`` holds the
     objective at initialization and after every outer iteration.
@@ -235,8 +241,14 @@ def fit(X, Yhat, Y, cfg: TrainerConfig = TrainerConfig()):
         state.Bhat, state.B, state.Theta = update_b_admm(state, Yhat, cfg)
         state.W = update_w(state, X, cfg, solver=solver)
         trace.append(objective(state, X, Yhat, cfg))
-        if abs(trace[-1] - trace[-2]) / max(1.0, abs(trace[-2])) < cfg.outer_tol:
+        change = abs(trace[-1] - trace[-2]) / max(1.0, abs(trace[-2]))
+        if change < cfg.outer_tol:
             break
+    else:
+        _log.warning(
+            "fit stopped at outer_max=%d without meeting outer_tol=%g; last relative change %.3g",
+            cfg.outer_max, cfg.outer_tol, change,
+        )
     model = Model(
         W=state.W,
         metadata={"d": d, "l": l, "lambda1": cfg.lambda1, "lambda2": cfg.lambda2},
@@ -244,6 +256,7 @@ def fit(X, Yhat, Y, cfg: TrainerConfig = TrainerConfig()):
     return model, state, trace
 
 
+@single_threaded
 def predict(model: Model, X_test):
     """Scores ``X_test @ W`` and binary labels at the 0.5 threshold (inclusive)."""
     X_test = np.asarray(X_test, dtype=np.float64)
@@ -252,6 +265,8 @@ def predict(model: Model, X_test):
         raise ShapeError(
             f"test features have {X_test.shape[1] if X_test.ndim == 2 else '?'} columns, model expects {d}"
         )
+    if not np.isfinite(X_test).all():
+        raise NumericError("non-finite test features")
     scores = X_test @ model.W
     labels = (scores >= 0.5).astype(np.int8)
     return scores, labels

@@ -8,6 +8,7 @@ from pmltk import (
     ConfigError,
     ExperimentConfig,
     KnnConfig,
+    ParseError,
     PropagationConfig,
     derive_seed,
     run_benchmark,
@@ -16,7 +17,7 @@ from pmltk import (
     select_lambda2,
 )
 from pmltk.cli import main
-from pmltk.pipeline import _fold_indices
+from pmltk.pipeline import _fold_indices, _stage
 
 
 @pytest.fixture()
@@ -160,9 +161,16 @@ class TestErrorContext:
 
     def test_split_index_in_benchmark_errors(self, toy_file, capsys):
         cfg = toy_config(toy_file, k=30)
-        with pytest.raises(ConfigError, match="split 0"):
+        with pytest.raises(ConfigError, match="^split 0 failed: lambda2 selection stage: "):
             run_benchmark(cfg)
         capsys.readouterr()
+
+    def test_stage_keeps_exception_attributes(self):
+        with pytest.raises(ParseError) as info:
+            with _stage("split"):
+                raise ParseError("bad value", line=7)
+        assert info.value.line == 7
+        assert str(info.value) == "split stage: line 7: bad value"
 
 
 class TestConfigValidation:
@@ -217,6 +225,16 @@ class TestCli:
         capsys.readouterr()
         assert code == 0
         assert report.read_text().startswith("split,")
+
+    def test_non_finite_test_features_exit_code(self, tmp_path, capsys):
+        model = tmp_path / "model.txt"
+        model.write_text("#2 2 1.0 10.0\n0.1,0.2\n0.3,0.4\n")
+        test = tmp_path / "test.csv"
+        test.write_text("#2 2 2\n1.0,nan;1,0\n0.5,0.5;0,1\n")
+        code = main(["predict", str(model), str(test), "--data-format", "dense-csv",
+                     "--out", str(tmp_path / "preds.csv")])
+        capsys.readouterr()
+        assert code == 3
 
     def test_missing_dataset_exit_code(self, capsys):
         assert main(["benchmark", "no-such-file.sml"]) == 2

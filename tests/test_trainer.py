@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from helpers import fix_label_rows, random_dataset, svt_objective
@@ -273,6 +275,26 @@ class TestFit:
         with pytest.raises(NumericError):
             fit(np.zeros((3, 2)), Yhat, np.ones((3, 2)), TrainerConfig())
 
+    def test_warns_when_capped(self, caplog):
+        ds = random_dataset(n=12, d=4, l=3, seed=5)
+        Yhat = signed_enrichment(ds.Y, np.random.default_rng(5))
+        with caplog.at_level(logging.WARNING, logger="pmltk"):
+            _, _, trace = fit(ds.X, Yhat, ds.Y, TrainerConfig(outer_max=2, outer_tol=1e-12))
+        assert len(trace) == 3
+        [record] = caplog.records
+        assert record.name.startswith("pmltk")
+        change = abs(trace[-1] - trace[-2]) / max(1.0, abs(trace[-2]))
+        assert "outer_max=2" in record.getMessage()
+        assert f"last relative change {change:.3g}" in record.getMessage()
+
+    def test_silent_when_converged(self, caplog):
+        ds = random_dataset(n=12, d=4, l=3, seed=5)
+        Yhat = signed_enrichment(ds.Y, np.random.default_rng(5))
+        with caplog.at_level(logging.WARNING, logger="pmltk"):
+            _, _, trace = fit(ds.X, Yhat, ds.Y, TrainerConfig(outer_max=50, outer_tol=1e-2))
+        assert len(trace) - 1 < 50
+        assert caplog.records == []
+
 
 class TestPredict:
     def test_zero_model(self):
@@ -294,6 +316,14 @@ class TestPredict:
         model = Model(W=np.zeros((3, 2)), metadata={})
         with pytest.raises(ShapeError):
             predict(model, np.ones((4, 5)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input(self, bad):
+        model = Model(W=np.ones((3, 2)), metadata={})
+        X = np.ones((4, 3))
+        X[2, 1] = bad
+        with pytest.raises(NumericError):
+            predict(model, X)
 
 
 class TestConfigValidation:
