@@ -10,6 +10,7 @@ non-candidate entries become irrelevance degrees in [-1, 0].
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,8 @@ from .graph import WeightGraph
 
 #: Row spans at or below this trigger the degenerate normalization fallback.
 DEGENERATE_SPAN = 1e-12
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -104,7 +107,8 @@ def enrich(ds: Dataset, graph: WeightGraph, cfg: PropagationConfig) -> Enrichmen
 
     Iterates propagate/normalize until the relative Frobenius change
     ``||F_t - F_{t-1}|| / max(1, ||F_{t-1}||)`` drops below ``cfg.tol``
-    or ``cfg.max_iters`` is reached. Deterministic: identical inputs
+    or ``cfg.max_iters`` is reached; stopping at the cap logs a warning
+    on the ``pmltk.enrichment`` logger. Deterministic: identical inputs
     yield a bit-identical matrix.
     """
     if graph.n != ds.n:
@@ -119,6 +123,11 @@ def enrich(ds: Dataset, graph: WeightGraph, cfg: PropagationConfig) -> Enrichmen
         F = F_next
         if change < cfg.tol:
             break
+    else:
+        _log.warning(
+            "enrich stopped at max_iters=%d without meeting tol=%g; last relative change %.3g",
+            cfg.max_iters, cfg.tol, change,
+        )
     Yhat = np.where(Y == 1, F, F - 1.0)
     return EnrichmentMatrix(Yhat)
 

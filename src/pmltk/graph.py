@@ -2,9 +2,11 @@
 
 Each instance is expressed as a non-negative combination of its k
 nearest neighbors (Euclidean distance, brute force by design at desk
-scale). The per-instance weights solve a non-negative least squares
-problem via an exact active-set method, then rows are normalized to
-sum to one, yielding the propagation weight matrix.
+scale: one Gram product for all pairs, then an exact re-rank of the
+rows near each k-th distance). The per-instance weights solve a
+non-negative least squares problem with the exact Lawson-Hanson
+active-set method on the k x k normal equations, then rows are
+normalized to sum to one, yielding the propagation weight matrix.
 """
 
 from __future__ import annotations
@@ -19,6 +21,12 @@ from .errors import ConfigError, NumericError, ShapeError, ValidationError
 
 #: Row sums at or below this are treated as degenerate during normalization.
 DEGENERATE_ROW_SUM = 1e-12
+
+#: NNLS stops once no coordinate pinned at zero has a gradient above this.
+NNLS_TOL = 1e-10
+
+#: NNLS outer steps allowed per column of ``A`` (plus ten) before it stops.
+NNLS_STEPS_PER_COLUMN = 3
 
 
 @dataclass(frozen=True)
@@ -95,28 +103,58 @@ def build_knn(X: np.ndarray, cfg: KnnConfig) -> np.ndarray:
 
     Distance ties are broken toward the smaller index, which makes the
     result deterministic and lets duplicated rows resolve predictably.
+
+    All squared distances come from one Gram product,
+    ``|xi|**2 + |xj|**2 - 2 xi.xj``. That form can be off by rounding
+    (badly so when the rows share a large offset), so it only picks
+    candidates: every row whose Gram distance lies within a rounding
+    bound of the k-th smallest. The candidates are then ranked by the
+    difference form ``|xj - xi|**2``, so the lists are those of an exact
+    difference-form scan.
     """
     X = np.asarray(X, dtype=np.float64)
-    n = X.shape[0]
-    if cfg.k >= n:
-        raise ConfigError(f"k={cfg.k} must be smaller than the instance count {n}")
-    neighbors = np.empty((n, cfg.k), dtype=np.int64)
-    for i in range(n):
-        diff = X - X[i]
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        d2[i] = np.inf
-        # stable sort keeps ascending index order among exact ties
-        neighbors[i] = np.argsort(d2, kind="stable")[: cfg.k]
-    return neighbors
+    if not np.isfinite(X).all():
+        raise NumericError("non-finite feature matrix")
+    n, d = X.shape
+    k = cfg.k
+    if k >= n:
+        raise ConfigError(f"k={k} must be smaller than the instance count {n}")
+    sq = np.einsum("ij,ij->i", X, X)
+    # built in place so that only one n x n array is live
+    gram = X @ X.T
+    gram *= -2.0
+    gram += sq[:, None]
+    gram += sq[None, :]
+    np.fill_diagonal(gram, np.inf)
+    kth = np.partition(gram, k - 1, axis=1)[:, k - 1]
+    # Each form errs by at most about (d + 3) * eps/2 * (|xi| + |xj|)**2, and
+    # a row of the exact top k has a Gram distance within twice the sum of
+    # both errors of the k-th smallest; this bound is larger than that.
+    norms = np.sqrt(sq)
+    slack = 4 * (d + 3) * np.finfo(np.float64).eps * (norms + norms.max()) ** 2
+    rows, cols = np.nonzero(gram <= (kth + slack)[:, None])
+    exact = np.empty(rows.size)
+    # blocks of about 2**16 values keep the gathered rows small next to X
+    step = max(1, 2**16 // d)
+    for lo in range(0, rows.size, step):
+        diff = X[cols[lo:lo + step]] - X[rows[lo:lo + step]]
+        exact[lo:lo + step] = np.einsum("ij,ij->i", diff, diff)
+    # lexsort is stable and np.nonzero lists columns in ascending order,
+    # so exact ties keep the smaller index first
+    order = np.lexsort((exact, rows))
+    first = np.searchsorted(rows, np.arange(n))
+    return cols[order][first[:, None] + np.arange(k)]
 
 
-def nnls(A: np.ndarray, b: np.ndarray, tol: float = 1e-10, max_iter: int | None = None) -> np.ndarray:
+def nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact active-set non-negative least squares.
 
-    Minimizes ``||A v - b||**2`` subject to ``v >= 0``. On return the
-    KKT conditions hold up to roundoff: coordinates in the passive set
-    satisfy the unconstrained normal equations, coordinates pinned at
-    zero have gradient ``>= -2*tol``.
+    Minimizes ``||A v - b||**2`` subject to ``v >= 0`` with the
+    Lawson-Hanson active-set loop, run on the k x k normal equations
+    ``G = A.T A``, ``c = A.T b``. On return the KKT conditions hold up
+    to roundoff: coordinates in the passive set satisfy the normal
+    equations, coordinates pinned at zero have gradient
+    ``>= -2*NNLS_TOL``.
     """
     A = np.asarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -125,26 +163,31 @@ def nnls(A: np.ndarray, b: np.ndarray, tol: float = 1e-10, max_iter: int | None 
     if not np.isfinite(A).all() or not np.isfinite(b).all():
         raise NumericError("non-finite input to nnls")
     k = A.shape[1]
-    if max_iter is None:
-        max_iter = 3 * k + 10
+    G = A.T @ A
+    c = A.T @ b
     x = np.zeros(k)
     passive = np.zeros(k, dtype=bool)
 
-    def least_squares_on_passive():
+    def solve_on_passive():
         cols = np.flatnonzero(passive)
+        block = G[np.ix_(cols, cols)]
         z = np.zeros(k)
-        sol, *_ = np.linalg.lstsq(A[:, cols], b, rcond=None)
-        z[cols] = sol
+        try:
+            z[cols] = np.linalg.solve(block, c[cols])
+        except np.linalg.LinAlgError:
+            # a column that depends on the passive ones (a duplicated neighbor
+            # row) enters when roundoff in w exceeds NNLS_TOL
+            z[cols] = np.linalg.lstsq(block, c[cols], rcond=None)[0]
         return z
 
-    for _ in range(max_iter):
-        w = A.T @ (b - A @ x)
+    for _ in range(NNLS_STEPS_PER_COLUMN * k + 10):
+        w = c - G @ x
         w[passive] = -np.inf
         j = int(np.argmax(w))  # ties resolve to the smaller index
-        if w[j] <= tol:
+        if w[j] <= NNLS_TOL:
             break
         passive[j] = True
-        z = least_squares_on_passive()
+        z = solve_on_passive()
         while True:
             blocking = passive & (z <= 0.0)
             if not blocking.any():
@@ -155,7 +198,7 @@ def nnls(A: np.ndarray, b: np.ndarray, tol: float = 1e-10, max_iter: int | None 
             x = x + alpha * (z - x)
             x[blocking] = np.where(steps == alpha, 0.0, x[blocking])
             passive &= x > 0.0
-            z = least_squares_on_passive()
+            z = solve_on_passive()
         x = z
     return x
 
@@ -191,8 +234,6 @@ def normalize_rows(neighbors: np.ndarray, raw_weights: np.ndarray) -> WeightGrap
 def build_graph(X: np.ndarray, cfg: KnnConfig) -> WeightGraph:
     """End to end: neighbor search, per-instance weight solve, row normalization."""
     X = np.asarray(X, dtype=np.float64)
-    if not np.isfinite(X).all():
-        raise NumericError("non-finite feature matrix")
     neighbors = build_knn(X, cfg)
     raw = np.empty_like(neighbors, dtype=np.float64)
     for i in range(X.shape[0]):

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from helpers import random_dataset
@@ -148,6 +150,26 @@ class TestEnrich:
         ds = random_dataset(n=10, seed=0)
         with pytest.raises(ShapeError):
             enrich(ds, two_node_graph(), PropagationConfig())
+
+    def test_warns_when_capped(self, caplog):
+        ds = random_dataset(n=15, d=3, l=4, seed=2)
+        g = build_graph(ds.X, KnnConfig(k=4))
+        with caplog.at_level(logging.WARNING, logger="pmltk"):
+            enrich(ds, g, PropagationConfig(max_iters=1, tol=1e-12))
+        [record] = caplog.records
+        assert record.name == "pmltk.enrichment"
+        F0 = ds.Y.astype(float)
+        F1 = normalize_step(propagate_step(F0, F0, g, 0.05), ds.Y)
+        change = np.linalg.norm(F1 - F0) / max(1.0, np.linalg.norm(F0))
+        assert "max_iters=1" in record.getMessage()
+        assert f"last relative change {change:.3g}" in record.getMessage()
+
+    def test_silent_when_converged(self, caplog):
+        ds = random_dataset(n=15, d=3, l=4, seed=2)
+        g = build_graph(ds.X, KnnConfig(k=4))
+        with caplog.at_level(logging.WARNING, logger="pmltk"):
+            enrich(ds, g, PropagationConfig())
+        assert caplog.records == []
 
 
 class TestConfig:

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.optimize
 from helpers import brute_force_knn, nnls_kkt_residual, nnls_objective
 
+import pmltk
 from pmltk import (
     ConfigError,
     KnnConfig,
@@ -23,11 +28,19 @@ class TestBuildKnn:
         nbrs = build_knn(X, KnnConfig(k=1))
         assert nbrs.tolist() == [[1], [0], [1]]
 
-    def test_duplicate_rows_tie_break(self):
-        X = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
-        nbrs = build_knn(X, KnnConfig(k=1))
+    @pytest.mark.parametrize("X, k, expected", [
+        pytest.param(np.ones((3, 2)), 1, [[1], [0], [0]], id="all-tied"),
+        # 12 duplicates after 3 other rows: more than k rows tie at the k-th distance
+        pytest.param(
+            np.vstack([[[0.0, 0.0], [3.0, 1.0], [1.0, 5.0]], np.ones((12, 2))]), 3,
+            [[3, 4, 5]] * 3 + [[j for j in range(3, 15) if j != i][:3] for i in range(3, 15)],
+            id="more-ties-than-k",
+        ),
+    ])
+    def test_duplicate_rows_tie_break(self, X, k, expected):
+        nbrs = build_knn(X, KnnConfig(k=k))
         # smaller index wins among exact ties, excluding self
-        assert nbrs.tolist() == [[1], [0], [0]]
+        assert nbrs.tolist() == expected
 
     def test_full_neighborhood(self):
         X = np.arange(12.0).reshape(4, 3)
@@ -39,6 +52,12 @@ class TestBuildKnn:
         with pytest.raises(ConfigError):
             build_knn(np.zeros((3, 2)), KnnConfig(k=3))
 
+    def test_non_finite_rejected(self):
+        X = np.zeros((4, 2))
+        X[2, 1] = np.nan
+        with pytest.raises(NumericError):
+            build_knn(X, KnnConfig(k=1))
+
     @pytest.mark.parametrize("seed", range(5))
     def test_agrees_with_brute_force(self, seed):
         rng = np.random.default_rng(seed)
@@ -49,9 +68,12 @@ class TestBuildKnn:
         k = int(rng.integers(1, 6))
         assert (build_knn(X, KnnConfig(k=k)) == brute_force_knn(X, k)).all()
 
-    def test_agrees_with_brute_force_floats(self):
+    # A common offset cancels most digits of |xi|^2 + |xj|^2 - 2 xi.xj: at 1e6
+    # that form misorders neighbors, at 1e7 it also picks the wrong ones.
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e7])
+    def test_agrees_with_brute_force_floats(self, offset):
         rng = np.random.default_rng(99)
-        X = rng.normal(size=(200, 4))
+        X = rng.normal(size=(200, 4)) + offset
         assert (build_knn(X, KnnConfig(k=7)) == brute_force_knn(X, 7)).all()
 
 
@@ -106,6 +128,18 @@ class TestNnls:
         if support.size:
             z, *_ = np.linalg.lstsq(A[:, support], b, rcond=None)
             assert np.abs(v[support] - z).max() <= 1e-8
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # importing scipy.optimize costs about 19 MB of resident memory and
+        # a quarter of a second, and nothing in the package needs it
+        src = os.path.dirname(os.path.dirname(os.path.abspath(pmltk.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        code = "import sys, pmltk, pmltk.cli; print('scipy.optimize' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_duplicate_columns(self):
         a = np.array([1.0, 2.0, 0.0])
@@ -170,6 +204,23 @@ class TestBuildGraph:
         for i in range(25):
             off_support = np.setdiff1d(np.arange(25), g.neighbors[i])
             assert (M[i, off_support] == 0).all()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_binary_rows_with_duplicates(self, seed):
+        # Rows repeat a few binary patterns or unions of two of them, so
+        # neighbor columns are duplicated or linearly dependent. At a unit of
+        # 300 the gradient's roundoff exceeds the NNLS tolerance, a dependent
+        # column enters the passive set and its block of A.T A is singular.
+        rng = np.random.default_rng(seed)
+        base = rng.random((10, 30)) < 0.5
+        X = base[rng.integers(0, 10, size=40)]
+        X[:20] |= base[rng.integers(0, 10, size=20)]
+        X = X * 300.0
+        g = build_graph(X, KnnConfig(k=8))
+        assert np.abs(g.weights.sum(axis=1) - 1.0).max() <= 1e-12
+        for i in range(40):
+            A = X[g.neighbors[i]].T
+            assert nnls_kkt_residual(A, X[i], nnls(A, X[i])) <= 1e-8
 
     def test_solver_never_worse_than_trivial_points(self):
         rng = np.random.default_rng(77)
