@@ -16,10 +16,10 @@ from . import data, enrichment, graph, metrics, pipeline, trainer
 from .errors import ConfigError, DataError, NumericError
 
 _FORMAT_CHOICE = click.Choice(data.FORMATS)
-_REPORT_CHOICE = click.Choice(pipeline.REPORT_FORMATS)
+_REPORT_CHOICE = click.Choice(("json", "csv"))
 
 
-def _parse_grid(text: str) -> tuple[float, ...]:
+def _parse_grid(ctx, param, text: str) -> tuple[float, ...]:
     try:
         values = tuple(float(t) for t in text.split(",") if t.strip())
     except ValueError:
@@ -27,6 +27,34 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     if not values:
         raise ConfigError("lambda2 grid must be non-empty")
     return values
+
+
+# Options of ``train`` and ``benchmark``, named after the ExperimentConfig
+# fields they set.
+_FIT_OPTIONS = (
+    click.option("--data-format", type=_FORMAT_CHOICE, default=data.SPARSE_FORMAT, show_default=True),
+    click.option("--k", type=int, default=10, show_default=True),
+    click.option("--alpha", type=float, default=0.05, show_default=True),
+    click.option("--lambda1", type=float, default=1.0, show_default=True),
+    click.option("--lambda2", type=float, default=None, help="Fixed ridge weight; skips tuning."),
+    click.option("--lambda2-grid", default="10,100", show_default=True, callback=_parse_grid),
+    click.option("--cv-folds", type=int, default=5, show_default=True),
+    click.option("--tau", type=float, default=1.0, show_default=True),
+    click.option("--admm-iters", type=int, default=5, show_default=True),
+    click.option("--seed", type=int, default=0, show_default=True),
+    click.option("--standardize-features", is_flag=True, default=False),
+    click.option("--add-bias", is_flag=True, default=False),
+)
+
+
+def _fit_options(command):
+    for option in reversed(_FIT_OPTIONS):
+        command = option(command)
+    return command
+
+
+def _write_report(path, text: str) -> None:
+    data.write_lines(path, "report", text.splitlines())
 
 
 def _prepared(path, data_format, standardize_features, add_bias):
@@ -75,59 +103,24 @@ def enrich_cmd(dataset, data_format, k, alpha, standardize_features, out):
 
 @cli.command("train")
 @click.argument("dataset", type=click.Path())
-@click.option("--data-format", type=_FORMAT_CHOICE, default=data.SPARSE_FORMAT, show_default=True)
 @click.option("--enrichment", "enrichment_path", type=click.Path(), default=None,
               help="Precomputed enrichment CSV; skips stage 1.")
-@click.option("--k", type=int, default=10, show_default=True)
-@click.option("--alpha", type=float, default=0.05, show_default=True)
-@click.option("--lambda1", type=float, default=1.0, show_default=True)
-@click.option("--lambda2", type=float, default=None, help="Fixed ridge weight; skips tuning.")
-@click.option("--lambda2-grid", default="10,100", show_default=True)
-@click.option("--cv-folds", type=int, default=5, show_default=True)
-@click.option("--tau", type=float, default=1.0, show_default=True)
-@click.option("--admm-iters", type=int, default=5, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--standardize-features", is_flag=True, default=False)
-@click.option("--add-bias", is_flag=True, default=False)
+@_fit_options
 @click.option("--out", required=True, type=click.Path(), help="Model output path.")
 @click.option("--trace-out", type=click.Path(), default=None,
               help="Optional objective trace CSV ('iter,objective').")
-def train_cmd(dataset, data_format, enrichment_path, k, alpha, lambda1, lambda2,
-              lambda2_grid, cv_folds, tau, admm_iters, seed, standardize_features,
-              add_bias, out, trace_out):
+def train_cmd(dataset, enrichment_path, out, trace_out, **options):
     """Stages 1 and 2: enrich (unless given) and fit the predictor."""
-    ds = _prepared(dataset, data_format, standardize_features, add_bias)
-    if enrichment_path is not None:
-        em = enrichment.load_enrichment(enrichment_path)
-        if em.n != ds.n or em.l != ds.l:
-            raise DataError(
-                f"enrichment is {em.n} x {em.l} but dataset is {ds.n} x {ds.l}"
-            )
-    else:
-        g = graph.build_graph(ds.X, graph.KnnConfig(k=k))
-        em = enrichment.enrich(ds, g, enrichment.PropagationConfig(alpha=alpha))
-    if lambda2 is None:
-        lambda2 = pipeline.select_lambda2(
-            ds,
-            _parse_grid(lambda2_grid),
-            cv_folds,
-            pipeline.derive_seed(seed, 2, 0),
-            knn_cfg=graph.KnnConfig(k=k),
-            prop_cfg=enrichment.PropagationConfig(alpha=alpha),
-            lambda1=lambda1,
-            tau=tau,
-            admm_iters=admm_iters,
-        )
+    cfg = pipeline.ExperimentConfig(dataset=dataset, **options)
+    ds = _prepared(dataset, cfg.data_format, cfg.standardize_features, cfg.add_bias)
+    em = None if enrichment_path is None else enrichment.load_enrichment(enrichment_path)
+    model, trace, lambda2 = pipeline.fit_pipeline(ds, cfg, 0, em)
+    if cfg.lambda2 is None:
         click.echo(f"selected lambda2={lambda2!r}")
-    tcfg = trainer.TrainerConfig(
-        lambda1=lambda1, lambda2=lambda2, tau=tau, admm_iters=admm_iters
-    )
-    model, _, trace = trainer.fit(ds.X, em.Yhat, ds.Y, tcfg)
     trainer.save_model(model, out)
     if trace_out:
-        with open(trace_out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("iter,objective\n")
-            fh.writelines(f"{i},{v!r}\n" for i, v in enumerate(trace))
+        rows = (f"{i},{v!r}" for i, v in enumerate(trace))
+        data.write_lines(trace_out, "trace", ["iter,objective", *rows])
     click.echo(f"wrote {out} (objective {trace[0]:.6g} -> {trace[-1]:.6g}, {len(trace) - 1} iterations)")
 
 
@@ -164,8 +157,7 @@ def evaluate_cmd(predictions, dataset, data_format, report_format, out):
         else metrics.reports_to_csv([report])
     )
     if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _write_report(out, text)
         click.echo(f"wrote {out}")
     else:
         click.echo(text, nl=False)
@@ -173,48 +165,23 @@ def evaluate_cmd(predictions, dataset, data_format, report_format, out):
 
 @cli.command("benchmark")
 @click.argument("dataset", type=click.Path())
-@click.option("--data-format", type=_FORMAT_CHOICE, default=data.SPARSE_FORMAT, show_default=True)
 @click.option("--noise", type=int, default=100, show_default=True)
 @click.option("--splits", type=int, default=5, show_default=True)
 @click.option("--split-fraction", type=float, default=0.5, show_default=True)
-@click.option("--k", type=int, default=10, show_default=True)
-@click.option("--alpha", type=float, default=0.05, show_default=True)
-@click.option("--lambda1", type=float, default=1.0, show_default=True)
-@click.option("--lambda2", type=float, default=None, help="Fixed ridge weight; skips tuning.")
-@click.option("--lambda2-grid", default="10,100", show_default=True)
-@click.option("--cv-folds", type=int, default=5, show_default=True)
-@click.option("--tau", type=float, default=1.0, show_default=True)
-@click.option("--admm-iters", type=int, default=5, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--standardize-features", is_flag=True, default=False)
-@click.option("--add-bias", is_flag=True, default=False)
+@_fit_options
 @click.option("--format", "report_format", type=_REPORT_CHOICE, default="json", show_default=True)
 @click.option("--out", type=click.Path(), default=None, help="Report file path.")
-def benchmark_cmd(dataset, data_format, noise, splits, split_fraction, k, alpha,
-                  lambda1, lambda2, lambda2_grid, cv_folds, tau, admm_iters, seed,
-                  standardize_features, add_bias, report_format, out):
+def benchmark_cmd(dataset, report_format, out, **options):
     """Run the repeated-split protocol and aggregate the metrics."""
-    cfg = pipeline.ExperimentConfig(
-        dataset=dataset,
-        data_format=data_format,
-        noise=noise,
-        splits=splits,
-        split_fraction=split_fraction,
-        k=k,
-        alpha=alpha,
-        lambda1=lambda1,
-        lambda2=lambda2,
-        lambda2_grid=_parse_grid(lambda2_grid),
-        cv_folds=cv_folds,
-        tau=tau,
-        admm_iters=admm_iters,
-        seed=seed,
-        standardize_features=standardize_features,
-        add_bias=add_bias,
-        out=out,
-        out_format=report_format,
-    )
-    pipeline.run_benchmark(cfg)
+    result = pipeline.run_benchmark(pipeline.ExperimentConfig(dataset=dataset, **options))
+    reports = [metrics.MetricsReport.from_dict(r) for r in result["per_split"]]
+    if out:
+        to_text = metrics.reports_to_json if report_format == "json" else metrics.reports_to_csv
+        _write_report(out, to_text(reports))
+    click.echo(f"{'metric':<14} {'mean':>10} {'std':>10}")
+    for name in metrics.METRIC_NAMES:
+        click.echo(f"{name:<14} {result['mean'][name]:>10.4f} {result['std'][name]:>10.4f}")
+    click.echo("lambda2 per split: " + ", ".join(map(repr, result["lambda2_per_split"])))
     if out:
         click.echo(f"wrote {out}")
 

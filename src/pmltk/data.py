@@ -12,7 +12,9 @@ start with a ``#n d l`` header line:
   optionally followed by a third ``;t1,...,tl`` ground-truth block.
 
 Floats are serialized with ``repr`` so save followed by load restores
-every matrix bit-exactly.
+every matrix bit-exactly. The enrichment, model and prediction files
+share the ``#header`` + rows layout: ``read_table`` reads all of them
+and ``write_lines`` writes every file pmltk produces.
 
 Randomness uses numpy's PCG64 generator, so seeded operations are
 reproducible across platforms. Datasets are immutable by convention:
@@ -147,17 +149,80 @@ class SplitSpec:
             )
 
 
-def _parse_header(line: str) -> tuple[int, int, int]:
-    parts = line.strip().lstrip("#").split()
-    if not line.startswith("#") or len(parts) != 3:
-        raise ParseError("expected header '#n d l'", line=1)
+def read_table(path, kind: str, fields: str, floats: int = 0):
+    """Read a pmltk text file: a ``#<fields>`` header line, then one row
+    per non-blank line.
+
+    All header fields but the last ``floats`` are dimensions and must be
+    positive integers; the first one is the row count, checked against
+    the file. Returns the header values and the rows as
+    ``(lineno, stripped line)`` pairs, where ``lineno`` is the 1-based
+    line of the file, so blank lines do not shift it. A file that
+    cannot be read raises ``DataError`` naming ``kind`` and ``path``.
+    """
     try:
-        n, d, l = (int(p) for p in parts)
+        with open(path, encoding="utf-8") as fh:
+            raw = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {kind} {path}: {exc}") from None
+    parts = raw[0].strip().lstrip("#").split()
+    if not raw[0].startswith("#") or len(parts) != len(fields.split()):
+        raise ParseError(f"expected header '#{fields}'", line=1)
+    ndims = len(parts) - floats
+    try:
+        dims = [int(p) for p in parts[:ndims]]
+        extra = [float(p) for p in parts[ndims:]]
     except ValueError as exc:
-        raise ParseError(f"header fields must be integers: {exc}", line=1) from None
-    if n <= 0 or d <= 0 or l <= 0:
-        raise ParseError(f"header dimensions must be positive, got {n} {d} {l}", line=1)
-    return n, d, l
+        raise ParseError(f"bad header field: {exc}", line=1) from None
+    if min(dims) <= 0:
+        raise ParseError(
+            f"header dimensions must be positive, got {' '.join(parts[:ndims])}", line=1
+        )
+    rows = []
+    for lineno, line in enumerate(raw[1:], start=2):
+        line = line.strip()
+        if line:
+            rows.append((lineno, line))
+    if len(rows) != dims[0]:
+        raise ParseError(
+            f"header declares {dims[0]} rows but file has {len(rows)}",
+            line=rows[-1][0] if rows else 1,
+        )
+    return (*dims, *extra), rows
+
+
+def parse_float_row(text, width, lineno, what):
+    """``width`` comma-separated floats; a bad row raises ``ParseError``."""
+    toks = text.split(",")
+    if len(toks) != width:
+        raise ParseError(
+            f"expected {width} {what} values, got {len(toks)}", line=lineno
+        )
+    try:
+        return list(map(float, toks))
+    except ValueError as exc:
+        raise ParseError(f"bad {what} value: {exc}", line=lineno) from None
+
+
+def csv_rows(M):
+    """Rows of a 2-d array as comma-separated ``repr`` values, which
+    restore every float bit-exactly. Yields one row at a time, so no
+    Python object per matrix entry is held at once."""
+    return (",".join(map(repr, row.tolist())) for row in np.asarray(M))
+
+
+def write_lines(path, kind: str, lines) -> None:
+    """Write ``lines`` to ``path`` as UTF-8, each ended by an LF.
+
+    Every file pmltk writes goes through here. A path that cannot be
+    written raises ``DataError`` naming ``kind`` and ``path``.
+    """
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines))
+            fh.write("\n")
+    except OSError as exc:
+        raise DataError(f"cannot write {kind} {path}: {exc}") from None
 
 
 def _parse_label_list(text: str, l: int, lineno: int, what: str) -> list[int]:
@@ -214,18 +279,6 @@ def _parse_sparse_body(lines, n, d, l):
     return X, Y, (T if has_truth else None)
 
 
-def _parse_float_row(text, width, lineno, what):
-    toks = text.split(",")
-    if len(toks) != width:
-        raise ParseError(
-            f"expected {width} {what} values, got {len(toks)}", line=lineno
-        )
-    try:
-        return [float(t) for t in toks]
-    except ValueError as exc:
-        raise ParseError(f"bad {what} value: {exc}", line=lineno) from None
-
-
 def _parse_dense_body(lines, n, d, l):
     X = np.zeros((n, d), dtype=np.float64)
     Y = np.zeros((n, l), dtype=np.int8)
@@ -245,11 +298,11 @@ def _parse_dense_body(lines, n, d, l):
                 "mixed rows: some carry a ground-truth block and some do not",
                 line=lineno,
             )
-        X[i] = _parse_float_row(blocks[0], d, lineno, "feature")
+        X[i] = parse_float_row(blocks[0], d, lineno, "feature")
         for target, text, what in ((Y, blocks[1], "candidate"),) + (
             ((T, blocks[2], "ground-truth"),) if with_truth else ()
         ):
-            row = _parse_float_row(text, l, lineno, what + " label")
+            row = parse_float_row(text, l, lineno, what + " label")
             for j, v in enumerate(row):
                 if v not in (0.0, 1.0):
                     raise ParseError(
@@ -271,33 +324,12 @@ def load(path, format: str = SPARSE_FORMAT) -> Dataset:
     """
     if format not in FORMATS:
         raise ConfigError(f"unknown dataset format {format!r}; expected one of {FORMATS}")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = fh.read().split("\n")
-    except OSError as exc:
-        raise DataError(f"cannot read dataset {path}: {exc}") from None
-    if not raw or not raw[0].strip():
-        raise ParseError("missing '#n d l' header", line=1)
-    n, d, l = _parse_header(raw[0])
-    body = []
-    for lineno, line in enumerate(raw[1:], start=2):
-        if not line.strip():
-            continue  # blank lines tolerated (incl. trailing newline)
-        body.append((lineno, line.strip()))
-    if len(body) != n:
-        raise ParseError(
-            f"header declares {n} instances but file has {len(body)}",
-            line=body[-1][0] if body else 1,
-        )
+    (n, d, l), rows = read_table(path, "dataset", "n d l")
     parser = _parse_sparse_body if format == SPARSE_FORMAT else _parse_dense_body
-    X, Y, T = parser(body, n, d, l)
+    X, Y, T = parser(rows, n, d, l)
     if T is None:
         T = Y.copy()
     return Dataset(X, Y, T)
-
-
-def _fmt_float(v: float) -> str:
-    return repr(float(v))
 
 
 def save(ds: Dataset, path, format: str = SPARSE_FORMAT) -> None:
@@ -306,25 +338,21 @@ def save(ds: Dataset, path, format: str = SPARSE_FORMAT) -> None:
     if format not in FORMATS:
         raise ConfigError(f"unknown dataset format {format!r}; expected one of {FORMATS}")
     lines = [f"#{ds.n} {ds.d} {ds.l}"]
-    for i in range(ds.n):
-        cand = ",".join(str(j) for j in np.flatnonzero(ds.Y[i]))
-        if ds.Ytruth is not None:
-            cand += "|" + ",".join(str(j) for j in np.flatnonzero(ds.Ytruth[i]))
-        if format == SPARSE_FORMAT:
-            # negative zeros are stored explicitly to keep round-trips bit-exact
-            stored = (ds.X[i] != 0.0) | np.signbit(ds.X[i])
-            feats = " ".join(
-                f"{j}:{_fmt_float(ds.X[i, j])}" for j in np.flatnonzero(stored)
-            )
-            lines.append(cand + (" " + feats if feats else ""))
-        else:
-            row = ",".join(_fmt_float(v) for v in ds.X[i])
-            blocks = [row, ",".join(str(int(v)) for v in ds.Y[i])]
+    if format == SPARSE_FORMAT:
+        for i in range(ds.n):
+            cand = ",".join(map(repr, np.flatnonzero(ds.Y[i]).tolist()))
             if ds.Ytruth is not None:
-                blocks.append(",".join(str(int(v)) for v in ds.Ytruth[i]))
-            lines.append(";".join(blocks))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+                cand += "|" + ",".join(map(repr, np.flatnonzero(ds.Ytruth[i]).tolist()))
+            # negative zeros are stored explicitly to keep round-trips bit-exact
+            cols = np.flatnonzero((ds.X[i] != 0.0) | np.signbit(ds.X[i]))
+            feats = " ".join(map("{}:{!r}".format, cols.tolist(), ds.X[i, cols].tolist()))
+            lines.append(cand + (" " + feats if feats else ""))
+    else:
+        blocks = [csv_rows(ds.X), csv_rows(ds.Y)]
+        if ds.Ytruth is not None:
+            blocks.append(csv_rows(ds.Ytruth))
+        lines += map(";".join, zip(*blocks))
+    write_lines(path, "dataset", lines)
 
 
 def inject_noise(ds: Dataset, cfg: NoiseConfig) -> Dataset:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blas import single_threaded
-from .data import Dataset
-from .errors import ConfigError, DataError, ParseError, ShapeError, ValidationError
+from .data import Dataset, csv_rows, parse_float_row, read_table, write_lines
+from .errors import ConfigError, ShapeError, ValidationError
 from .graph import WeightGraph
 
 #: Row spans at or below this trigger the degenerate normalization fallback.
@@ -134,34 +134,12 @@ def enrich(ds: Dataset, graph: WeightGraph, cfg: PropagationConfig) -> Enrichmen
 
 def save_enrichment(em: EnrichmentMatrix, path) -> None:
     """Persist as dense CSV under a ``#n l`` header (stage checkpoint)."""
-    lines = [f"#{em.n} {em.l}"]
-    for row in em.Yhat:
-        lines.append(",".join(repr(float(v)) for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, "enrichment", [f"#{em.n} {em.l}", *csv_rows(em.Yhat)])
 
 
 def load_enrichment(path) -> EnrichmentMatrix:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = [line for line in fh.read().split("\n") if line.strip()]
-    except OSError as exc:
-        raise DataError(f"cannot read enrichment {path}: {exc}") from None
-    if not raw or not raw[0].startswith("#"):
-        raise ParseError("missing '#n l' header", line=1)
-    try:
-        n, l = (int(t) for t in raw[0].lstrip("#").split())
-    except ValueError:
-        raise ParseError("missing '#n l' header", line=1) from None
-    if len(raw) - 1 != n:
-        raise ParseError(f"header declares {n} rows, found {len(raw) - 1}", line=1)
+    (n, l), rows = read_table(path, "enrichment", "n l")
     out = np.empty((n, l), dtype=np.float64)
-    for i, line in enumerate(raw[1:]):
-        toks = line.split(",")
-        if len(toks) != l:
-            raise ParseError(f"expected {l} values, got {len(toks)}", line=i + 2)
-        try:
-            out[i] = [float(t) for t in toks]
-        except ValueError as exc:
-            raise ParseError(f"bad value: {exc}", line=i + 2) from None
+    for i, (lineno, line) in enumerate(rows):
+        out[i] = parse_float_row(line, l, lineno, "enrichment")
     return EnrichmentMatrix(out)

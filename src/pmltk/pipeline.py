@@ -32,20 +32,11 @@ from .data import (
     load,
     split,
 )
-from .enrichment import PropagationConfig, enrich
-from .errors import ConfigError, PmltkError, StateError
+from .enrichment import EnrichmentMatrix, PropagationConfig, enrich
+from .errors import ConfigError, DataError, PmltkError, StateError
 from .graph import KnnConfig, build_graph
-from .metrics import (
-    METRIC_NAMES,
-    MetricsReport,
-    aggregate,
-    evaluate,
-    reports_to_csv,
-    reports_to_json,
-)
+from .metrics import METRIC_NAMES, MetricsReport, aggregate, evaluate
 from .trainer import Model, TrainerConfig, fit, predict
-
-REPORT_FORMATS = ("json", "csv")
 
 # Seed-derivation stage tags (spawn-key prefixes under the master seed).
 _STAGE_NOISE = 0
@@ -55,7 +46,8 @@ _STAGE_CV = 2
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a benchmark run needs, defaults matching the usual protocol."""
+    """Everything a benchmark run or a ``train`` command needs, defaults
+    matching the usual protocol."""
 
     dataset: str
     data_format: str = SPARSE_FORMAT
@@ -73,8 +65,6 @@ class ExperimentConfig:
     seed: int = 0
     standardize_features: bool = False
     add_bias: bool = False
-    out: str | None = None
-    out_format: str = "json"
 
     def __post_init__(self):
         if self.data_format not in FORMATS:
@@ -89,8 +79,6 @@ class ExperimentConfig:
             raise ConfigError("lambda2 grid must be non-empty")
         if self.cv_folds < 2:
             raise ConfigError(f"cv_folds must be >= 2, got {self.cv_folds}")
-        if self.out_format not in REPORT_FORMATS:
-            raise ConfigError(f"report format must be one of {REPORT_FORMATS}")
 
     def knn_config(self) -> KnnConfig:
         return KnnConfig(k=self.k)
@@ -214,13 +202,24 @@ def _stage(name: str):
         raise
 
 
-def _run_split(noisy: Dataset, cfg: ExperimentConfig, index: int):
-    with _stage("split"):
-        train, test = split(
-            noisy,
-            SplitSpec(cfg.split_fraction, derive_seed(cfg.seed, _STAGE_SPLIT, index)),
+def fit_pipeline(
+    train: Dataset,
+    cfg: ExperimentConfig,
+    split_index: int,
+    enrichment: EnrichmentMatrix | None = None,
+):
+    """Both stages on a training set: select lambda2 by cross-validation
+    (unless ``cfg.lambda2`` fixes it), build the graph and enrich (unless
+    ``enrichment`` is given), then fit.
+
+    The cross-validation folds are seeded from ``cfg.seed`` and
+    ``split_index``. Returns ``(model, trace, lambda2)``, where ``trace``
+    is the objective trace of the fit.
+    """
+    if enrichment is not None and (enrichment.n, enrichment.l) != (train.n, train.l):
+        raise DataError(
+            f"enrichment is {enrichment.n} x {enrichment.l} but dataset is {train.n} x {train.l}"
         )
-        train, test = _transform(train, test, cfg)
     if cfg.lambda2 is not None:
         lam2 = float(cfg.lambda2)
     else:
@@ -229,18 +228,30 @@ def _run_split(noisy: Dataset, cfg: ExperimentConfig, index: int):
                 train,
                 cfg.lambda2_grid,
                 cfg.cv_folds,
-                derive_seed(cfg.seed, _STAGE_CV, index),
+                derive_seed(cfg.seed, _STAGE_CV, split_index),
                 knn_cfg=cfg.knn_config(),
                 prop_cfg=cfg.propagation_config(),
                 lambda1=cfg.lambda1,
                 tau=cfg.tau,
                 admm_iters=cfg.admm_iters,
             )
-    with _stage("enrichment"):
-        graph = build_graph(train.X, cfg.knn_config())
-        em = enrich(train, graph, cfg.propagation_config())
+    if enrichment is None:
+        with _stage("enrichment"):
+            graph = build_graph(train.X, cfg.knn_config())
+            enrichment = enrich(train, graph, cfg.propagation_config())
     with _stage("training"):
-        model, _, _ = fit(train.X, em.Yhat, train.Y, cfg.trainer_config(lam2))
+        model, _, trace = fit(train.X, enrichment.Yhat, train.Y, cfg.trainer_config(lam2))
+    return model, trace, lam2
+
+
+def _run_split(noisy: Dataset, cfg: ExperimentConfig, index: int):
+    with _stage("split"):
+        train, test = split(
+            noisy,
+            SplitSpec(cfg.split_fraction, derive_seed(cfg.seed, _STAGE_SPLIT, index)),
+        )
+        train, test = _transform(train, test, cfg)
+    model, _, lam2 = fit_pipeline(train, cfg, index)
     with _stage("evaluation"):
         scores, labels = predict(model, test.X)
         if test.Ytruth is None:
@@ -256,22 +267,13 @@ def run_pipeline(cfg: ExperimentConfig, split_index: int = 0) -> tuple[Model, Me
     return model, report
 
 
-def format_summary(reports, lambdas) -> str:
-    agg = aggregate(reports)
-    lines = [f"{'metric':<14} {'mean':>10} {'std':>10}"]
-    for name in METRIC_NAMES:
-        mean, std = agg[name]
-        lines.append(f"{name:<14} {mean:>10.4f} {std:>10.4f}")
-    lines.append("lambda2 per split: " + ", ".join(repr(v) for v in lambdas))
-    return "\n".join(lines)
-
-
 @single_threaded
 def run_benchmark(cfg: ExperimentConfig) -> dict:
-    """Repeated-split protocol; writes the report file when requested.
+    """Repeated-split protocol.
 
     Returns a dict with per-split reports, aggregate mean/std and the
-    selected lambda2 values, and prints a summary table.
+    selected lambda2 values. Writes and prints nothing; the CLI's
+    ``benchmark`` command writes the report file and the summary table.
     """
     noisy = prepare_dataset(cfg)
     reports: list[MetricsReport] = []
@@ -285,11 +287,6 @@ def run_benchmark(cfg: ExperimentConfig) -> dict:
         reports.append(report)
         lambdas.append(lam2)
     agg = aggregate(reports)
-    if cfg.out:
-        text = reports_to_json(reports) if cfg.out_format == "json" else reports_to_csv(reports)
-        with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    print(format_summary(reports, lambdas))
     return {
         "per_split": [r.to_dict() for r in reports],
         "mean": {name: agg[name][0] for name in METRIC_NAMES},

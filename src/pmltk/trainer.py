@@ -23,9 +23,9 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from ._blas import single_threaded
+from .data import csv_rows, parse_float_row, read_table, write_lines
 from .errors import (
     ConfigError,
-    DataError,
     NumericError,
     ParseError,
     ShapeError,
@@ -275,41 +275,16 @@ def predict(model: Model, X_test):
 def save_model(model: Model, path) -> None:
     """Persist as a ``#d l lambda1 lambda2`` header plus dense CSV rows of W."""
     meta = model.metadata
-    header = f"#{meta['d']} {meta['l']} {repr(float(meta['lambda1']))} {repr(float(meta['lambda2']))}"
-    lines = [header]
-    for row in model.W:
-        lines.append(",".join(repr(float(v)) for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = f"#{meta['d']} {meta['l']} {float(meta['lambda1'])!r} {float(meta['lambda2'])!r}"
+    W = np.asarray(model.W, dtype=np.float64)
+    write_lines(path, "model", [header, *csv_rows(W)])
 
 
 def load_model(path) -> Model:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = [line for line in fh.read().split("\n") if line.strip()]
-    except OSError as exc:
-        raise DataError(f"cannot read model {path}: {exc}") from None
-    if not raw or not raw[0].startswith("#"):
-        raise ParseError("missing '#d l lambda1 lambda2' header", line=1)
-    toks = raw[0].lstrip("#").split()
-    if len(toks) != 4:
-        raise ParseError("missing '#d l lambda1 lambda2' header", line=1)
-    try:
-        d, l = int(toks[0]), int(toks[1])
-        lambda1, lambda2 = float(toks[2]), float(toks[3])
-    except ValueError as exc:
-        raise ParseError(f"bad header: {exc}", line=1) from None
-    if len(raw) - 1 != d:
-        raise ParseError(f"header declares {d} rows of W, found {len(raw) - 1}", line=1)
+    (d, l, lambda1, lambda2), rows = read_table(path, "model", "d l lambda1 lambda2", floats=2)
     W = np.empty((d, l), dtype=np.float64)
-    for i, line in enumerate(raw[1:]):
-        toks = line.split(",")
-        if len(toks) != l:
-            raise ParseError(f"expected {l} values, got {len(toks)}", line=i + 2)
-        try:
-            W[i] = [float(t) for t in toks]
-        except ValueError as exc:
-            raise ParseError(f"bad value: {exc}", line=i + 2) from None
+    for i, (lineno, line) in enumerate(rows):
+        W[i] = parse_float_row(line, l, lineno, "W")
     return Model(W=W, metadata={"d": d, "l": l, "lambda1": lambda1, "lambda2": lambda2})
 
 
@@ -319,45 +294,26 @@ def save_predictions(scores, labels, path) -> None:
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 2:
         raise ShapeError(f"scores{scores.shape} and labels{labels.shape} must match")
-    lines = [f"#{scores.shape[0]} {scores.shape[1]}"]
-    for srow, lrow in zip(scores, labels):
-        lines.append(
-            ",".join(repr(float(v)) for v in srow)
-            + ";"
-            + ",".join(str(int(v)) for v in lrow)
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = map(";".join, zip(csv_rows(scores), csv_rows(labels.astype(np.int64))))
+    write_lines(path, "predictions", [f"#{scores.shape[0]} {scores.shape[1]}", *rows])
 
 
 def load_predictions(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = [line for line in fh.read().split("\n") if line.strip()]
-    except OSError as exc:
-        raise DataError(f"cannot read predictions {path}: {exc}") from None
-    if not raw or not raw[0].startswith("#"):
-        raise ParseError("missing '#m l' header", line=1)
-    try:
-        m, l = (int(t) for t in raw[0].lstrip("#").split())
-    except ValueError:
-        raise ParseError("missing '#m l' header", line=1) from None
-    if len(raw) - 1 != m:
-        raise ParseError(f"header declares {m} rows, found {len(raw) - 1}", line=1)
+    (m, l), rows = read_table(path, "predictions", "m l")
     scores = np.empty((m, l), dtype=np.float64)
     labels = np.empty((m, l), dtype=np.int8)
-    for i, line in enumerate(raw[1:]):
+    for i, (lineno, line) in enumerate(rows):
         sblock, sep, lblock = line.partition(";")
         if not sep:
-            raise ParseError("expected 'scores;labels'", line=i + 2)
-        stoks, ltoks = sblock.split(","), lblock.split(",")
-        if len(stoks) != l or len(ltoks) != l:
-            raise ParseError(f"expected {l} scores and {l} labels", line=i + 2)
+            raise ParseError("expected 'scores;labels'", line=lineno)
+        scores[i] = parse_float_row(sblock, l, lineno, "score")
+        ltoks = lblock.split(",")
+        if len(ltoks) != l:
+            raise ParseError(f"expected {l} labels, got {len(ltoks)}", line=lineno)
         try:
-            scores[i] = [float(t) for t in stoks]
             labels[i] = [int(t) for t in ltoks]
         except ValueError as exc:
-            raise ParseError(f"bad value: {exc}", line=i + 2) from None
+            raise ParseError(f"bad label value: {exc}", line=lineno) from None
     if not np.isin(labels, (0, 1)).all():
         raise ValidationError("prediction labels must be binary")
     return scores, labels

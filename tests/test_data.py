@@ -4,7 +4,9 @@ from helpers import random_dataset
 
 from pmltk import (
     ConfigError,
+    DataError,
     Dataset,
+    EnrichmentMatrix,
     NoiseConfig,
     ParseError,
     RangeError,
@@ -15,6 +17,14 @@ from pmltk import (
     load,
     save,
     split,
+)
+from pmltk.enrichment import load_enrichment, save_enrichment
+from pmltk.trainer import (
+    Model,
+    load_model,
+    load_predictions,
+    save_model,
+    save_predictions,
 )
 
 
@@ -220,3 +230,88 @@ class TestSplit:
         ds = random_dataset(n=10, seed=2)
         train, test = split(ds, SplitSpec(0.3, seed=1))
         assert train.n == 3 and test.n == 7
+
+
+# One file per reader: the header, a blank line, a good row, then a row whose
+# second value is bad; that value sits on line 4 of the file.
+BAD_VALUE_ON_LINE_4 = {
+    "dataset": (lambda p: load(p, "dense-csv"), "#2 2 2\n\n0.1,0.2;1,0\n0.3,x;0,1\n"),
+    "enrichment": (load_enrichment, "#2 2\n\n0.1,0.2\n0.3,x\n"),
+    "model": (load_model, "#2 2 1.0 10.0\n\n0.1,0.2\n0.3,x\n"),
+    "predictions": (load_predictions, "#2 2\n\n0.1,0.2;1,0\n0.3,x;0,1\n"),
+}
+
+NEGATIVE_DIMENSION = {
+    "dataset": (lambda p: load(p, "dense-csv"), "#2 -2 2\n0.1,0.2;1,0\n0.3,0.4;0,1\n"),
+    "enrichment": (load_enrichment, "#2 -2\n0.1,0.2\n0.3,0.4\n"),
+    "model": (load_model, "#2 -1 1.0 10.0\n0.1,0.2\n0.3,0.4\n"),
+    "predictions": (load_predictions, "#2 -2\n0.1,0.2;1,0\n0.3,0.4;0,1\n"),
+}
+
+
+class TestTextFiles:
+    @pytest.mark.parametrize("kind", sorted(BAD_VALUE_ON_LINE_4))
+    def test_error_names_file_line_after_blank(self, tmp_path, kind):
+        reader, text = BAD_VALUE_ON_LINE_4[kind]
+        with pytest.raises(ParseError) as exc:
+            reader(write(tmp_path, text))
+        assert exc.value.line == 4
+
+    @pytest.mark.parametrize("kind", sorted(NEGATIVE_DIMENSION))
+    def test_negative_dimension_is_parse_error(self, tmp_path, kind):
+        reader, text = NEGATIVE_DIMENSION[kind]
+        with pytest.raises(ParseError) as exc:
+            reader(write(tmp_path, text))
+        assert exc.value.line == 1
+
+    def test_unreadable_file_names_kind_and_path(self, tmp_path):
+        p = tmp_path / "model.txt"
+        with pytest.raises(DataError, match=f"cannot read model {p}"):
+            load_model(p)
+        p.write_bytes(b"#1 1 1.0 1.0\n\xff\n")
+        with pytest.raises(DataError, match=f"cannot read model {p}"):
+            load_model(p)
+
+
+class TestWrittenBytes:
+    """Literal expected text for every writer, so the formats cannot drift."""
+
+    X = np.array([[0.1 + 0.2, -0.0, 0.0], [1 / 3, 2.5e300, 1e-17]])
+    Y = [[1, 0, 0], [0, 1, 1]]
+    T = [[1, 0, 0], [0, 1, 0]]
+
+    @pytest.mark.parametrize("fmt, noisy, expected", [
+        ("sparse-multilabel", True,
+         b"#2 3 3\n0|0 0:0.30000000000000004 1:-0.0\n"
+         b"1,2|1 0:0.3333333333333333 1:2.5e+300 2:1e-17\n"),
+        ("sparse-multilabel", False,
+         b"#2 3 3\n0 0:0.30000000000000004 1:-0.0\n"
+         b"1,2 0:0.3333333333333333 1:2.5e+300 2:1e-17\n"),
+        ("dense-csv", True,
+         b"#2 3 3\n0.30000000000000004,-0.0,0.0;1,0,0;1,0,0\n"
+         b"0.3333333333333333,2.5e+300,1e-17;0,1,1;0,1,0\n"),
+        ("dense-csv", False,
+         b"#2 3 3\n0.30000000000000004,-0.0,0.0;1,0,0\n"
+         b"0.3333333333333333,2.5e+300,1e-17;0,1,1\n"),
+    ])
+    def test_dataset(self, tmp_path, fmt, noisy, expected):
+        p = tmp_path / "ds.txt"
+        save(Dataset(self.X, self.Y, self.T if noisy else None), p, fmt)
+        assert p.read_bytes() == expected
+
+    def test_enrichment(self, tmp_path):
+        p = tmp_path / "yhat.csv"
+        save_enrichment(EnrichmentMatrix([[0.5, -0.25], [1 / 3, -0.0]]), p)
+        assert p.read_bytes() == b"#2 2\n0.5,-0.25\n0.3333333333333333,-0.0\n"
+
+    def test_model(self, tmp_path):
+        p = tmp_path / "model.txt"
+        meta = {"d": 2, "l": 2, "lambda1": 1.0, "lambda2": 10}
+        save_model(Model(np.array([[0.1, -2.5e-8], [1 / 3, 0.0]]), meta), p)
+        assert p.read_bytes() == b"#2 2 1.0 10.0\n0.1,-2.5e-08\n0.3333333333333333,0.0\n"
+
+    def test_predictions(self, tmp_path):
+        p = tmp_path / "preds.csv"
+        labels = np.array([[1, 0], [0, 1]], dtype=np.int8)
+        save_predictions([[0.75, 0.1 + 0.2], [-1e-5, 0.5]], labels, p)
+        assert p.read_bytes() == b"#2 2\n0.75,0.30000000000000004;1,0\n-1e-05,0.5;0,1\n"

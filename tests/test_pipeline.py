@@ -1,22 +1,32 @@
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers import clustered_dataset, random_dataset
 
+import pmltk
 from pmltk import (
     ConfigError,
     ExperimentConfig,
     KnnConfig,
     ParseError,
     PropagationConfig,
+    TrainerConfig,
+    build_graph,
     derive_seed,
+    enrich,
+    fit,
+    load,
     run_benchmark,
     run_pipeline,
     save,
+    save_model,
     select_lambda2,
 )
 from pmltk.cli import main
+from pmltk.metrics import METRIC_NAMES
 from pmltk.pipeline import _fold_indices, _stage
 
 
@@ -40,6 +50,12 @@ def toy_config(path, **over):
     )
     base.update(over)
     return ExperimentConfig(**base)
+
+
+def toy_args(path, *extra):
+    """``pmltk benchmark`` arguments equal to ``toy_config(path)``."""
+    return ["benchmark", str(path), "--noise", "100", "--splits", "2", "--k", "4",
+            "--alpha", "0.05", "--cv-folds", "2", "--seed", "7", *extra]
 
 
 class TestSeedDerivation:
@@ -110,12 +126,29 @@ class TestRunPipeline:
 class TestRunBenchmark:
     def test_aggregates_and_writes_json(self, toy_file, tmp_path, capsys):
         out = tmp_path / "report.json"
-        cfg = toy_config(toy_file, out=str(out), out_format="json")
-        result = run_benchmark(cfg)
+        assert main(toy_args(toy_file, "--format", "json", "--out", str(out))) == 0
+        assert "lambda2 per split" in capsys.readouterr().out
+        result = run_benchmark(toy_config(toy_file))
         assert len(result["per_split"]) == 2
         doc = json.loads(out.read_text())
         assert doc["mean"]["ap"] == pytest.approx(result["mean"]["ap"])
-        assert "lambda2 per split" in capsys.readouterr().out
+
+    def test_prints_and_writes_nothing(self, toy_file, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        result = run_benchmark(toy_config(toy_file, splits=1))
+        assert capsys.readouterr() == ("", "")
+        assert [p.name for p in tmp_path.iterdir()] == ["toy.sml"]
+        assert len(result["per_split"]) == 1
+
+    def test_command_prints_summary_table(self, toy_file, capsys):
+        assert main(toy_args(toy_file)) == 0
+        out = capsys.readouterr().out.splitlines()
+        result = run_benchmark(toy_config(toy_file))
+        assert out[0].split() == ["metric", "mean", "std"]
+        for line, name in zip(out[1:], METRIC_NAMES):
+            assert line == f"{name:<14} {result['mean'][name]:>10.4f} {result['std'][name]:>10.4f}"
+        lambdas = ", ".join(map(repr, result["lambda2_per_split"]))
+        assert out[8:] == [f"lambda2 per split: {lambdas}"]
 
     def test_single_split_zero_std(self, toy_file, capsys):
         cfg = toy_config(toy_file, splits=1)
@@ -132,8 +165,8 @@ class TestRunBenchmark:
     def test_json_and_csv_numeric_content_identical(self, toy_file, tmp_path, capsys):
         jout = tmp_path / "r.json"
         cout = tmp_path / "r.csv"
-        run_benchmark(toy_config(toy_file, out=str(jout), out_format="json"))
-        run_benchmark(toy_config(toy_file, out=str(cout), out_format="csv"))
+        assert main(toy_args(toy_file, "--format", "json", "--out", str(jout))) == 0
+        assert main(toy_args(toy_file, "--format", "csv", "--out", str(cout))) == 0
         capsys.readouterr()
         doc = json.loads(jout.read_text())
         lines = cout.read_text().strip().split("\n")
@@ -146,8 +179,8 @@ class TestRunBenchmark:
     def test_byte_identical_reports(self, toy_file, tmp_path, capsys):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
-        run_benchmark(toy_config(toy_file, out=str(a)))
-        run_benchmark(toy_config(toy_file, out=str(b)))
+        assert main(toy_args(toy_file, "--out", str(a))) == 0
+        assert main(toy_args(toy_file, "--out", str(b))) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
@@ -217,6 +250,41 @@ class TestCli:
         assert "selected lambda2=" in out
         assert model.exists()
 
+    def test_train_matches_library_calls(self, toy_file, tmp_path, capsys):
+        # train's cross-validation is seeded like split 0 of the benchmark
+        model = tmp_path / "model.txt"
+        assert main(["train", str(toy_file), "--cv-folds", "2", "--seed", "2",
+                     "--out", str(model)]) == 0
+        capsys.readouterr()
+        ds = load(toy_file)
+        knn, prop = KnnConfig(k=10), PropagationConfig(alpha=0.05)
+        lam = select_lambda2(ds, (10.0, 100.0), 2, derive_seed(2, 2, 0),
+                             knn_cfg=knn, prop_cfg=prop)
+        em = enrich(ds, build_graph(ds.X, knn), prop)
+        ref, _, _ = fit(ds.X, em.Yhat, ds.Y, TrainerConfig(lambda2=lam))
+        save_model(ref, tmp_path / "ref.txt")
+        assert model.read_bytes() == (tmp_path / "ref.txt").read_bytes()
+
+    @pytest.mark.parametrize("folds", ["0", "1"])
+    def test_train_rejects_bad_cv_folds(self, toy_file, tmp_path, capsys, folds):
+        code = main(["train", str(toy_file), "--cv-folds", folds,
+                     "--out", str(tmp_path / "model.txt")])
+        assert "cv_folds must be >= 2" in capsys.readouterr().err
+        assert code == 1
+
+    def test_negative_model_dimension_exit_code(self, toy_file, tmp_path, capsys):
+        model = tmp_path / "model.txt"
+        model.write_text("#2 -1 1.0 10.0\n0.1,0.2\n0.3,0.4\n")
+        code = main(["predict", str(model), str(toy_file),
+                     "--out", str(tmp_path / "preds.csv")])
+        assert "line 1: header dimensions must be positive" in capsys.readouterr().err
+        assert code == 2
+
+    def test_unwritable_output_exit_code(self, toy_file, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "yhat.csv"
+        assert main(["enrich", str(toy_file), "--k", "4", "--out", str(out)]) == 2
+        assert f"cannot write enrichment {out}" in capsys.readouterr().err
+
     def test_benchmark_command(self, toy_file, tmp_path, capsys):
         report = tmp_path / "bench.csv"
         code = main(["benchmark", str(toy_file), "--splits", "2", "--k", "4",
@@ -261,3 +329,19 @@ class TestCli:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+
+class TestBenchHooks:
+    """``bench/`` wraps and calls pmltk functions by module and name."""
+
+    def test_traced_functions_exist(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        tracing = importlib.import_module("tracing")
+        for module, name in tracing.LAYER_FUNCTIONS:
+            fn = getattr(importlib.import_module(f"pmltk.{module}"), name, None)
+            assert callable(fn), (module, name)
+
+    def test_worker_loaders_exist(self):
+        assert callable(pmltk.load_enrichment)
+        assert callable(pmltk.load_model)
+        assert callable(pmltk.trainer.load_predictions)
