@@ -16,6 +16,7 @@ report is a deterministic function of (dataset, config, seed).
 
 from __future__ import annotations
 
+import logging
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -37,6 +38,8 @@ from .errors import ConfigError, DataError, PmltkError, StateError
 from .graph import KnnConfig, build_graph
 from .metrics import METRIC_NAMES, MetricsReport, aggregate, evaluate
 from .trainer import Model, TrainerConfig, fit, predict
+
+_log = logging.getLogger(__name__)
 
 # Seed-derivation stage tags (spawn-key prefixes under the master seed).
 _STAGE_NOISE = 0
@@ -157,7 +160,8 @@ def select_lambda2(
     enrichment does not depend on the grid value) and a model is fit
     per grid value; fold scores are average precision against the
     held-out candidate labels. Highest mean wins, ties go to the
-    smaller value.
+    smaller value. The mean AP of every grid value and the choice are
+    logged at INFO on the ``pmltk.pipeline`` logger.
     """
     grid = sorted(float(g) for g in grid)
     if not grid:
@@ -185,6 +189,10 @@ def select_lambda2(
             scores, labels = predict(model, held.X)
             ap_sums[gi] += evaluate(scores, labels, held.Y).ap
     best = int(np.argmax(ap_sums))  # first max = smallest grid value on ties
+    _log.info(
+        "lambda2 CV mean AP over %d folds: %s; selected %r",
+        folds, ", ".join(f"{lam!r}: {ap:.6f}" for lam, ap in zip(grid, ap_sums / folds)), grid[best],
+    )
     return grid[best]
 
 

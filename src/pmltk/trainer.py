@@ -12,6 +12,14 @@ correlation matrix ``B`` with singular value thresholding for the
 nuclear norm, and a ridge solve for the predictor ``W``. All linear
 systems go through symmetric positive-definite factorizations; no
 matrix is ever inverted explicitly.
+
+The loop touches ``W`` only through the fitted values ``X W`` and
+``||W||_F^2``, which the ridge step returns and the state carries. When
+``n < d`` the ridge step keeps the dual coefficients
+``alpha = (X X^T + lambda2 I)^{-1} C`` instead of ``W``: the solve gives
+``X W = C - lambda2 alpha`` and ``||W||_F^2 = <alpha, X W>`` without a
+product through ``X``, and ``W = X^T alpha`` is formed once, when
+``fit`` returns.
 """
 
 from __future__ import annotations
@@ -66,13 +74,25 @@ class TrainerConfig:
 @dataclass
 class TrainerState:
     """Mutable optimization state: confidences C (n x l), correlation B
-    (l x l), ADMM auxiliary Bhat and multipliers Theta, predictor W (d x l)."""
+    (l x l), ADMM auxiliary Bhat and multipliers Theta, predictor W (d x l).
+
+    ``XW`` (n x l) and ``W_norm2`` cache ``X @ W`` and ``||W||_F^2``;
+    ``None`` means "compute from W". ``fit`` keeps them current and
+    leaves ``W`` itself stale until it returns, so whoever changes ``W``
+    by hand must reset them.
+    """
 
     C: np.ndarray
     B: np.ndarray
     Bhat: np.ndarray
     Theta: np.ndarray
     W: np.ndarray
+    XW: np.ndarray | None = None
+    W_norm2: float | None = None
+
+    def fitted(self, X) -> np.ndarray:
+        """``X @ W``, from the cache when it is set."""
+        return X @ self.W if self.XW is None else self.XW
 
 
 @dataclass(frozen=True)
@@ -108,12 +128,13 @@ def prox_nuclear(M, threshold: float) -> np.ndarray:
 def objective(state: TrainerState, X, Yhat, cfg: TrainerConfig) -> float:
     """Full objective value at the current state."""
     r1 = Yhat - state.C @ state.B
-    r2 = state.C - X @ state.W
+    r2 = state.C - state.fitted(X)
+    w_norm2 = float(np.vdot(state.W, state.W)) if state.W_norm2 is None else state.W_norm2
     val = (
         float(np.vdot(r1, r1))
         + float(np.vdot(r2, r2))
         + cfg.lambda1 * nuclear_norm(state.B)
-        + cfg.lambda2 * float(np.vdot(state.W, state.W))
+        + cfg.lambda2 * w_norm2
     )
     if not np.isfinite(val):
         raise NumericError("objective is not finite")
@@ -134,7 +155,7 @@ def update_c(state: TrainerState, X, Yhat, Y) -> np.ndarray:
         factor = cho_factor(G, lower=True)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"confidence-system factorization failed: {exc}") from None
-    rhs = Yhat @ B.T + X @ state.W
+    rhs = Yhat @ B.T + state.fitted(X)
     C = cho_solve(factor, rhs.T).T
     np.clip(C, 0.0, 1.0, out=C)
     C[np.asarray(Y) == 0] = 0.0
@@ -172,15 +193,19 @@ class RidgeSolver:
     """Cached SPD factorization for ``W = (X^T X + lambda I)^{-1} X^T C``.
 
     When the problem is underdetermined (n < d, positive lambda) the
-    algebraically identical dual form ``X^T (X X^T + lambda I)^{-1} C``
-    is factored instead, which keeps the factorization at the smaller
-    of the two Gram matrices.
+    algebraically identical dual form ``W = X^T alpha`` with
+    ``alpha = (X X^T + lambda I)^{-1} C`` is factored instead, which
+    keeps the factorization at the smaller of the two Gram matrices.
+    ``solve`` returns the coefficients (``alpha`` in the dual form, ``W``
+    in the primal one) with the fitted values ``X W`` and ``||W||_F^2``;
+    ``predictor`` turns coefficients into ``W``.
     """
 
     def __init__(self, X, lam: float):
         X = np.asarray(X, dtype=np.float64)
         n, d = X.shape
         self.X = X
+        self.lam = lam
         self.dual = lam > 0 and n < d
         G = X @ X.T if self.dual else X.T @ X
         G[np.diag_indices_from(G)] += lam
@@ -189,14 +214,24 @@ class RidgeSolver:
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"ridge factorization failed: {exc}") from None
 
-    def solve(self, C) -> np.ndarray:
+    def solve(self, C):
+        """``(coef, X W, ||W||_F^2)`` for targets C."""
         if self.dual:
-            return self.X.T @ cho_solve(self.factor, C)
-        return cho_solve(self.factor, self.X.T @ C)
+            # (X X^T + lam I) alpha = C gives X W = X X^T alpha = C - lam alpha
+            alpha = cho_solve(self.factor, C)
+            XW = C - self.lam * alpha
+            return alpha, XW, float(np.vdot(alpha, XW))
+        W = cho_solve(self.factor, self.X.T @ C)
+        return W, self.X @ W, float(np.vdot(W, W))
+
+    def predictor(self, coef) -> np.ndarray:
+        """The d x l predictor W for coefficients from ``solve``."""
+        return self.X.T @ coef if self.dual else coef
 
 
-def update_w(state: TrainerState, X, cfg: TrainerConfig, solver: RidgeSolver | None = None) -> np.ndarray:
-    """Ridge update of the predictor given the current confidences."""
+def update_w(state: TrainerState, X, cfg: TrainerConfig, solver: RidgeSolver | None = None):
+    """Ridge update of the predictor given the current confidences:
+    ``(coef, X W, ||W||_F^2)`` from ``RidgeSolver.solve``."""
     if solver is None:
         solver = RidgeSolver(X, cfg.lambda2)
     return solver.solve(state.C)
@@ -211,10 +246,12 @@ def fit(X, Yhat, Y, cfg: TrainerConfig = TrainerConfig()):
     zero. The loop runs confidence, correlation and predictor updates
     until the relative objective change drops below ``cfg.outer_tol``
     or ``cfg.outer_max`` is hit; the latter logs a warning on the
-    ``pmltk.trainer`` logger.
+    ``pmltk.trainer`` logger. ``W`` is formed from the ridge
+    coefficients once, on return.
 
     Returns ``(model, state, trace)`` where ``trace`` holds the
-    objective at initialization and after every outer iteration.
+    objective at initialization and after every outer iteration, and
+    ``state.W`` and ``model.W`` are the d x l predictor.
     """
     X = np.asarray(X, dtype=np.float64)
     Yhat = np.asarray(Yhat, dtype=np.float64)
@@ -233,13 +270,15 @@ def fit(X, Yhat, Y, cfg: TrainerConfig = TrainerConfig()):
         Bhat=np.eye(l),
         Theta=np.zeros((l, l)),
         W=np.zeros((d, l)),
+        XW=np.zeros((n, l)),
+        W_norm2=0.0,
     )
     solver = RidgeSolver(X, cfg.lambda2)
     trace = [objective(state, X, Yhat, cfg)]
     for _ in range(cfg.outer_max):
         state.C = update_c(state, X, Yhat, Y)
         state.Bhat, state.B, state.Theta = update_b_admm(state, Yhat, cfg)
-        state.W = update_w(state, X, cfg, solver=solver)
+        coef, state.XW, state.W_norm2 = update_w(state, X, cfg, solver=solver)
         trace.append(objective(state, X, Yhat, cfg))
         change = abs(trace[-1] - trace[-2]) / max(1.0, abs(trace[-2]))
         if change < cfg.outer_tol:
@@ -249,6 +288,7 @@ def fit(X, Yhat, Y, cfg: TrainerConfig = TrainerConfig()):
             "fit stopped at outer_max=%d without meeting outer_tol=%g; last relative change %.3g",
             cfg.outer_max, cfg.outer_tol, change,
         )
+    state.W = solver.predictor(coef)
     model = Model(
         W=state.W,
         metadata={"d": d, "l": l, "lambda1": cfg.lambda1, "lambda2": cfg.lambda2},

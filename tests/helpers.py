@@ -8,8 +8,10 @@ vectorized implementations.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
-from pmltk import Dataset
+from pmltk import Dataset, TrainerState, nuclear_norm, update_b_admm
+from pmltk._blas import single_threaded
 
 
 def fix_label_rows(T, rng):
@@ -82,6 +84,50 @@ def svt_objective(B, M, t):
     """Proximal objective the thresholding operator is supposed to minimize."""
     sing = np.linalg.svd(B, compute_uv=False)
     return float(t * sing.sum() + 0.5 * ((B - M) ** 2).sum())
+
+
+@single_threaded
+def reference_fit(X, Yhat, Y, cfg):
+    """Oracle for ``fit``: the alternating loop without carried values,
+    so every iteration forms the predictor W and recomputes ``X @ W`` in
+    the confidence step and in the objective. Returns ``(W, trace)``."""
+    X = np.asarray(X, dtype=np.float64)
+    Yhat = np.asarray(Yhat, dtype=np.float64)
+    Y = np.asarray(Y)
+    n, d = X.shape
+    l = Yhat.shape[1]
+    C = np.where(Y == 1, np.maximum(Yhat, 0.0), 0.0)
+    B, Bhat, Theta = np.eye(l), np.eye(l), np.zeros((l, l))
+    W = np.zeros((d, l))
+    dual = cfg.lambda2 > 0 and n < d
+    G = X @ X.T if dual else X.T @ X
+    G[np.diag_indices_from(G)] += cfg.lambda2
+    ridge = cho_factor(G, lower=True)
+
+    def objective(C, B, W):
+        r1 = Yhat - C @ B
+        r2 = C - X @ W
+        return (
+            float(np.vdot(r1, r1))
+            + float(np.vdot(r2, r2))
+            + cfg.lambda1 * nuclear_norm(B)
+            + cfg.lambda2 * float(np.vdot(W, W))
+        )
+
+    trace = [objective(C, B, W)]
+    for _ in range(cfg.outer_max):
+        G = B @ B.T
+        G[np.diag_indices_from(G)] += 1.0
+        rhs = Yhat @ B.T + X @ W
+        C = cho_solve(cho_factor(G, lower=True), rhs.T).T
+        np.clip(C, 0.0, 1.0, out=C)
+        C[Y == 0] = 0.0
+        Bhat, B, Theta = update_b_admm(TrainerState(C, B, Bhat, Theta, W), Yhat, cfg)
+        W = X.T @ cho_solve(ridge, C) if dual else cho_solve(ridge, X.T @ C)
+        trace.append(objective(C, B, W))
+        if abs(trace[-1] - trace[-2]) / max(1.0, abs(trace[-2])) < cfg.outer_tol:
+            break
+    return W, trace
 
 
 def brute_force_metrics(scores, labels, truth):

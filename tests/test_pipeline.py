@@ -1,5 +1,6 @@
 import importlib
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +18,10 @@ from pmltk import (
     build_graph,
     derive_seed,
     enrich,
+    evaluate,
     fit,
     load,
+    predict,
     run_benchmark,
     run_pipeline,
     save,
@@ -91,6 +94,30 @@ class TestSelectLambda2:
             knn_cfg=KnnConfig(k=3), prop_cfg=PropagationConfig(),
         )
         assert lam == 10.0
+
+    def test_logs_cv_score_table(self, caplog):
+        ds = clustered_dataset(n=40, d=6, l=5, groups=4, seed=3, scale=4.0)
+        grid, folds, seed, knn = [100.0, 0.1], 2, 1, KnnConfig(k=3)
+        with caplog.at_level(logging.INFO, logger="pmltk"):
+            lam = select_lambda2(ds, grid, folds=folds, seed=seed, knn_cfg=knn)
+        [record] = [r for r in caplog.records if r.name == "pmltk.pipeline"]
+        assert record.levelno == logging.INFO
+        head, _, chosen = record.getMessage().partition("; selected ")
+        assert float(chosen) == lam
+        prefix, _, table = head.partition(": ")
+        assert prefix == f"lambda2 CV mean AP over {folds} folds"
+        logged = {float(g): float(ap) for g, ap in (e.split(": ") for e in table.split(", "))}
+        # the same folds, enrichments and fits, made by hand
+        expect = dict.fromkeys(sorted(grid), 0.0)
+        for part in _fold_indices(ds.n, folds, seed):
+            sub, held = ds.subset(np.setdiff1d(np.arange(ds.n), part)), ds.subset(part)
+            em = enrich(sub, build_graph(sub.X, knn), PropagationConfig())
+            for g in expect:
+                model, _, _ = fit(sub.X, em.Yhat, sub.Y, TrainerConfig(lambda2=g))
+                expect[g] += evaluate(*predict(model, held.X), held.Y).ap
+        assert list(logged) == list(expect)
+        assert list(logged.values()) == [float(f"{ap / folds:.6f}") for ap in expect.values()]
+        assert logged[lam] == max(logged.values())
 
     def test_fewer_instances_than_folds(self):
         ds = random_dataset(n=4, d=2, l=3, seed=1)

@@ -1,9 +1,12 @@
+import dataclasses
 import logging
+from collections import Counter
 
 import numpy as np
 import pytest
-from helpers import fix_label_rows, random_dataset, svt_objective
+from helpers import fix_label_rows, random_dataset, reference_fit, svt_objective
 
+from pmltk import trainer
 from pmltk import (
     ConfigError,
     NumericError,
@@ -33,6 +36,17 @@ def signed_enrichment(Y, rng):
     """Random matrix obeying the enrichment sign structure for mask Y."""
     F = rng.random(Y.shape)
     return np.where(Y == 1, F, F - 1.0)
+
+
+def ridge_w(state, X, cfg):
+    """Predictor from ``update_w``, after checking the fitted values and
+    squared norm it returns against that predictor."""
+    coef, XW, W_norm2 = update_w(state, X, cfg)
+    W = RidgeSolver(X, cfg.lambda2).predictor(coef)
+    scale = max(1.0, np.abs(state.C).max())
+    assert np.abs(XW - X @ W).max() <= 1e-10 * scale
+    assert W_norm2 == pytest.approx(float(np.vdot(W, W)), rel=1e-10, abs=1e-10 * scale**2)
+    return W
 
 
 def random_state(n, d, l, rng):
@@ -170,7 +184,7 @@ class TestUpdateW:
         C = rng.random((4, 3))
         state = TrainerState(C=C, B=np.eye(3), Bhat=np.eye(3),
                              Theta=np.zeros((3, 3)), W=np.zeros((4, 3)))
-        W = update_w(state, np.eye(4), TrainerConfig(lambda2=0.0))
+        W = ridge_w(state, np.eye(4), TrainerConfig(lambda2=0.0))
         assert np.allclose(W, C, atol=1e-12)
 
     def test_scalar_ridge(self):
@@ -178,13 +192,13 @@ class TestUpdateW:
             C=np.array([[1.0], [0.0]]), B=np.eye(1), Bhat=np.eye(1),
             Theta=np.zeros((1, 1)), W=np.zeros((1, 1)),
         )
-        W = update_w(state, np.array([[1.0], [1.0]]), TrainerConfig(lambda2=1.0))
+        W = ridge_w(state, np.array([[1.0], [1.0]]), TrainerConfig(lambda2=1.0))
         assert W[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_huge_ridge_kills_weights(self):
         rng = np.random.default_rng(9)
         state = random_state(6, 4, 3, rng)
-        W = update_w(state, rng.normal(size=(6, 4)), TrainerConfig(lambda2=1e12))
+        W = ridge_w(state, rng.normal(size=(6, 4)), TrainerConfig(lambda2=1e12))
         assert np.linalg.norm(W) <= 1e-6
 
     @pytest.mark.parametrize("shape", [(12, 5), (5, 12)])
@@ -197,7 +211,7 @@ class TestUpdateW:
         lam = 10.0
         state = TrainerState(C=C, B=np.eye(3), Bhat=np.eye(3),
                              Theta=np.zeros((3, 3)), W=np.zeros((d, 3)))
-        W = update_w(state, X, TrainerConfig(lambda2=lam))
+        W = ridge_w(state, X, TrainerConfig(lambda2=lam))
         grad = 2.0 * X.T @ (X @ W - C) + 2.0 * lam * W
         assert np.linalg.norm(grad) <= 1e-6 * max(1.0, np.linalg.norm(X.T @ C))
 
@@ -209,7 +223,7 @@ class TestUpdateW:
         dual = RidgeSolver(X, lam)
         assert dual.dual
         primal = np.linalg.solve(X.T @ X + lam * np.eye(9), X.T @ C)
-        assert np.allclose(dual.solve(C), primal, atol=1e-10)
+        assert np.allclose(dual.predictor(dual.solve(C)[0]), primal, atol=1e-10)
 
 
 class TestFit:
@@ -262,7 +276,7 @@ class TestFit:
             state.C = update_c(state, ds.X, Yhat, ds.Y)
             state.Bhat, state.B, state.Theta = update_b_admm(state, Yhat, cfg)
             before = objective(state, ds.X, Yhat, cfg)
-            state.W = update_w(state, ds.X, cfg)
+            state.W = ridge_w(state, ds.X, cfg)
             after = objective(state, ds.X, Yhat, cfg)
             assert after <= before + 1e-9
 
@@ -294,6 +308,76 @@ class TestFit:
             _, _, trace = fit(ds.X, Yhat, ds.Y, TrainerConfig(outer_max=50, outer_tol=1e-2))
         assert len(trace) - 1 < 50
         assert caplog.records == []
+
+
+def fit_problem(n, d, l, seed):
+    ds = random_dataset(n=n, d=d, l=l, seed=seed)
+    return ds.X, signed_enrichment(ds.Y, np.random.default_rng(seed)), ds.Y
+
+
+# n < d runs the ridge step in dual coefficients, n > d in the primal form.
+DUAL_PROBLEMS = [(30, 60, 5, 0, 10.0), (30, 60, 5, 1, 100.0), (25, 80, 6, 3, 1.0)]
+PRIMAL_PROBLEMS = [(40, 8, 5, 2, 10.0), (40, 8, 5, 4, 0.0)]
+
+
+class TestCachedLoop:
+    """``fit`` carries X W and ||W||^2 between steps; ``reference_fit``
+    recomputes them from W at every step."""
+
+    @pytest.mark.parametrize("n,d,l,seed,lam", DUAL_PROBLEMS)
+    def test_dual_matches_reference_loop(self, n, d, l, seed, lam):
+        X, Yhat, Y = fit_problem(n, d, l, seed)
+        cfg = TrainerConfig(lambda2=lam)
+        assert RidgeSolver(X, lam).dual
+        model, _, trace = fit(X, Yhat, Y, cfg)
+        W_ref, trace_ref = reference_fit(X, Yhat, Y, cfg)
+        assert len(trace) == len(trace_ref)
+        assert np.allclose(trace, trace_ref, rtol=1e-12, atol=0.0)
+        assert np.abs(model.W - W_ref).max() <= 1e-12 * np.abs(W_ref).max()
+
+    @pytest.mark.parametrize("n,d,l,seed,lam", PRIMAL_PROBLEMS)
+    def test_primal_equals_reference_loop(self, n, d, l, seed, lam):
+        X, Yhat, Y = fit_problem(n, d, l, seed)
+        cfg = TrainerConfig(lambda2=lam)
+        assert not RidgeSolver(X, lam).dual
+        model, _, trace = fit(X, Yhat, Y, cfg)
+        W_ref, trace_ref = reference_fit(X, Yhat, Y, cfg)
+        assert trace == trace_ref
+        assert model.W.tobytes() == W_ref.tobytes()
+
+    @pytest.mark.parametrize("n,d,l,seed,lam", DUAL_PROBLEMS + PRIMAL_PROBLEMS)
+    def test_returned_state_is_self_consistent(self, n, d, l, seed, lam):
+        X, Yhat, Y = fit_problem(n, d, l, seed)
+        cfg = TrainerConfig(lambda2=lam)
+        model, state, trace = fit(X, Yhat, Y, cfg)
+        assert model.W.shape == state.W.shape == (d, l)
+        fresh = dataclasses.replace(state, XW=None, W_norm2=None)
+        assert objective(fresh, X, Yhat, cfg) == pytest.approx(trace[-1], rel=1e-10)
+        scores, _ = predict(model, X)
+        assert np.abs(scores - state.XW).max() <= 1e-10 * max(1.0, np.abs(state.C).max())
+
+    @pytest.mark.parametrize("n,d,l,seed,lam", [DUAL_PROBLEMS[0], PRIMAL_PROBLEMS[0]])
+    def test_layer_functions_called_per_iteration(self, monkeypatch, n, d, l, seed, lam):
+        # the benchmark's per-layer trainer numbers come from wrapping these
+        # module attributes, so fit must keep calling them through the module
+        calls = Counter()
+        for name in ("update_c", "update_b_admm", "update_w", "objective", "prox_nuclear"):
+            def counted(*args, _name=name, _fn=getattr(trainer, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(trainer, name, counted)
+        X, Yhat, Y = fit_problem(n, d, l, seed)
+        cfg = TrainerConfig(lambda2=lam, admm_iters=3)
+        _, _, trace = fit(X, Yhat, Y, cfg)
+        iters = len(trace) - 1
+        assert iters >= 2
+        assert calls == {
+            "update_c": iters,
+            "update_b_admm": iters,
+            "update_w": iters,
+            "objective": iters + 1,  # plus the initial point
+            "prox_nuclear": cfg.admm_iters * iters,
+        }
 
 
 class TestPredict:
