@@ -46,7 +46,6 @@ from .graph import (
     build_knn,
     nnls,
     normalize_rows,
-    solve_weights,
 )
 from .metrics import MetricsReport, aggregate, evaluate
 from .pipeline import (

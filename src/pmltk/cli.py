@@ -3,11 +3,14 @@
 Every option can also be set through an environment variable named
 ``PMLTK_<COMMAND>_<OPTION>`` (click's auto-envvar mechanism), e.g.
 ``PMLTK_BENCHMARK_SEED=7``. Exit codes: 0 success, 1 usage or
-configuration error, 2 data error, 3 numeric error.
+configuration error, 2 data error, 3 numeric error. Warnings from the
+library (a fit or a propagation stopped at its iteration cap) are
+printed on stderr.
 """
 
 from __future__ import annotations
 
+import logging
 import sys
 
 import click
@@ -186,8 +189,30 @@ def benchmark_cmd(dataset, report_format, out, **options):
         click.echo(f"wrote {out}")
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes to whatever ``sys.stderr`` is when a record is emitted, so a
+    stderr redirected after the handler was installed still gets it."""
+
+    def __init__(self):
+        logging.Handler.__init__(self, logging.WARNING)
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
+def _install_stderr_handler() -> None:
+    """Print the library's warnings on stderr; at most one handler is added."""
+    log = logging.getLogger("pmltk")
+    if not any(isinstance(h, _StderrHandler) for h in log.handlers):
+        handler = _StderrHandler()
+        handler.setFormatter(logging.Formatter("%(levelname)s: %(message)s"))
+        log.addHandler(handler)
+
+
 def main(argv=None) -> int:
     """Entry point returning the documented exit codes."""
+    _install_stderr_handler()
     try:
         cli.main(args=argv, prog_name="pmltk", standalone_mode=False)
     except click.exceptions.Exit as exc:  # e.g. --help

@@ -5,8 +5,11 @@ nearest neighbors (Euclidean distance, brute force by design at desk
 scale: one Gram product for all pairs, then an exact re-rank of the
 rows near each k-th distance). The per-instance weights solve a
 non-negative least squares problem with the exact Lawson-Hanson
-active-set method on the k x k normal equations, then rows are
-normalized to sum to one, yielding the propagation weight matrix.
+active-set method on the k x k normal equations. One loop runs it for
+every instance at once, in lock step over the stack of normal
+equations, and gives each instance the result of solving it alone.
+Rows are then normalized to sum to one, yielding the propagation
+weight matrix.
 """
 
 from __future__ import annotations
@@ -86,17 +89,6 @@ class WeightGraph:
             (self.weights.ravel(), self.neighbors.ravel(), indptr), shape=(n, n)
         )
 
-    def dumps(self) -> str:
-        """Debug text form, one ``i: j=w j=w ...`` line per instance."""
-        lines = []
-        for i in range(self.n):
-            pairs = " ".join(
-                f"{int(j)}={float(w)!r}"
-                for j, w in zip(self.neighbors[i], self.weights[i])
-            )
-            lines.append(f"{i}: {pairs}")
-        return "\n".join(lines) + "\n"
-
 
 def build_knn(X: np.ndarray, cfg: KnnConfig) -> np.ndarray:
     """Neighbor lists: for each row the k nearest other rows.
@@ -146,12 +138,96 @@ def build_knn(X: np.ndarray, cfg: KnnConfig) -> np.ndarray:
     return cols[order][first[:, None] + np.arange(k)]
 
 
+def _solve_passive(G: np.ndarray, c: np.ndarray, passive: np.ndarray) -> np.ndarray:
+    """Each row's normal equations restricted to its passive set, zero elsewhere.
+
+    The p x p passive blocks are gathered in column order and solved in
+    one stacked ``np.linalg.solve`` per block size p, so every row gets
+    the arithmetic of solving its own block alone. A stack with a
+    singular block is solved row by row, with ``lstsq`` on the singular
+    ones.
+    """
+    z = np.zeros(c.shape)
+    size = passive.sum(axis=1)
+    # the passive columns of each row first, in column order
+    order = np.argsort(~passive, axis=1, kind="stable")
+    for p in np.unique(size[size > 0]):
+        rows = np.flatnonzero(size == p)
+        cols = order[rows, :p]
+        block = G[rows[:, None, None], cols[:, :, None], cols[:, None, :]]
+        rhs = c[rows[:, None], cols]
+        try:
+            z[rows[:, None], cols] = np.linalg.solve(block, rhs[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            for i, row in enumerate(rows):
+                try:
+                    z[row, cols[i]] = np.linalg.solve(block[i], rhs[i])
+                except np.linalg.LinAlgError:
+                    # a column that depends on the passive ones (a duplicated
+                    # neighbor row) enters when roundoff in the gradient
+                    # exceeds NNLS_TOL
+                    z[row, cols[i]] = np.linalg.lstsq(block[i], rhs[i], rcond=None)[0]
+    return z
+
+
+def _nnls_stack(G: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Lawson-Hanson on a stack of normal equations, all rows in lock step.
+
+    Row i minimizes ``v.G[i] v - 2 c[i].v`` subject to ``v >= 0``; for
+    ``G[i] = A.T A`` and ``c[i] = A.T b`` that is ``||A v - b||**2``.
+    Every row takes the steps of the single-row loop: the entering
+    coordinate is the largest gradient (ties to the smaller index), the
+    row stops once that gradient is at most ``NNLS_TOL`` or after
+    ``NNLS_STEPS_PER_COLUMN * k + 10`` steps, and a blocking step moves
+    only the rows whose solve left a passive coordinate at or below
+    zero. A row leaves the working stack as soon as it stops, and its
+    result does not depend on the other rows of the stack.
+    """
+    m, k = c.shape
+    x = np.zeros((m, k))
+    if k == 0:
+        return x
+    # the working stack: rows still running, as indices into the input
+    live, Gl, cl, xl = np.arange(m), G, c, x.copy()
+    passive = np.zeros((m, k), dtype=bool)
+    for _ in range(NNLS_STEPS_PER_COLUMN * k + 10):
+        w = cl - np.matmul(Gl, xl[:, :, None])[:, :, 0]
+        w[passive] = -np.inf
+        j = np.argmax(w, axis=1)  # ties resolve to the smaller index
+        going = w[np.arange(live.size), j] > NNLS_TOL
+        x[live[~going]] = xl[~going]
+        live, Gl, cl, xl, passive, j = (a[going] for a in (live, Gl, cl, xl, passive, j))
+        if live.size == 0:
+            break
+        passive[np.arange(live.size), j] = True
+        z = _solve_passive(Gl, cl, passive)
+        # inner loop: only rows whose solve left a passive coordinate <= 0
+        blocking = passive & (z <= 0.0)
+        inner = np.flatnonzero(blocking.any(axis=1))
+        while inner.size:
+            xb, zb, bb = xl[inner], z[inner], blocking[inner]
+            denom = xb - zb
+            steps = np.where(denom > 0.0, xb / np.where(denom > 0, denom, 1.0), 0.0)
+            alpha = np.where(bb, steps, np.inf).min(axis=1, keepdims=True)
+            xb = xb + alpha * (zb - xb)
+            xb[bb & (steps == alpha)] = 0.0
+            xl[inner] = xb
+            passive[inner] &= xb > 0.0
+            z[inner] = _solve_passive(Gl[inner], cl[inner], passive[inner])
+            blocking[inner] = passive[inner] & (z[inner] <= 0.0)
+            inner = inner[blocking[inner].any(axis=1)]
+        xl = z
+    x[live] = xl
+    return x
+
+
 def nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact active-set non-negative least squares.
 
     Minimizes ``||A v - b||**2`` subject to ``v >= 0`` with the
     Lawson-Hanson active-set loop, run on the k x k normal equations
-    ``G = A.T A``, ``c = A.T b``. On return the KKT conditions hold up
+    ``G = A.T A``, ``c = A.T b`` by the same core that solves every row
+    of :func:`build_graph` at once. On return the KKT conditions hold up
     to roundoff: coordinates in the passive set satisfy the normal
     equations, coordinates pinned at zero have gradient
     ``>= -2*NNLS_TOL``.
@@ -162,54 +238,7 @@ def nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ShapeError(f"incompatible shapes A{A.shape}, b{b.shape}")
     if not np.isfinite(A).all() or not np.isfinite(b).all():
         raise NumericError("non-finite input to nnls")
-    k = A.shape[1]
-    G = A.T @ A
-    c = A.T @ b
-    x = np.zeros(k)
-    passive = np.zeros(k, dtype=bool)
-
-    def solve_on_passive():
-        cols = np.flatnonzero(passive)
-        block = G[np.ix_(cols, cols)]
-        z = np.zeros(k)
-        try:
-            z[cols] = np.linalg.solve(block, c[cols])
-        except np.linalg.LinAlgError:
-            # a column that depends on the passive ones (a duplicated neighbor
-            # row) enters when roundoff in w exceeds NNLS_TOL
-            z[cols] = np.linalg.lstsq(block, c[cols], rcond=None)[0]
-        return z
-
-    for _ in range(NNLS_STEPS_PER_COLUMN * k + 10):
-        w = c - G @ x
-        w[passive] = -np.inf
-        j = int(np.argmax(w))  # ties resolve to the smaller index
-        if w[j] <= NNLS_TOL:
-            break
-        passive[j] = True
-        z = solve_on_passive()
-        while True:
-            blocking = passive & (z <= 0.0)
-            if not blocking.any():
-                break
-            denom = x[blocking] - z[blocking]
-            steps = np.where(denom > 0.0, x[blocking] / np.where(denom > 0, denom, 1.0), 0.0)
-            alpha = float(steps.min())
-            x = x + alpha * (z - x)
-            x[blocking] = np.where(steps == alpha, 0.0, x[blocking])
-            passive &= x > 0.0
-            z = solve_on_passive()
-        x = z
-    return x
-
-
-def solve_weights(x: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
-    """Non-negative weights reconstructing ``x`` from the given neighbor rows."""
-    nb = np.asarray(neighbors, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if nb.ndim != 2 or x.ndim != 1 or nb.shape[1] != x.shape[0]:
-        raise ShapeError(f"incompatible shapes: x{x.shape}, neighbors{nb.shape}")
-    return nnls(nb.T, x)
+    return _nnls_stack((A.T @ A)[None], (A.T @ b)[None])[0]
 
 
 def normalize_rows(neighbors: np.ndarray, raw_weights: np.ndarray) -> WeightGraph:
@@ -232,10 +261,17 @@ def normalize_rows(neighbors: np.ndarray, raw_weights: np.ndarray) -> WeightGrap
 
 @single_threaded
 def build_graph(X: np.ndarray, cfg: KnnConfig) -> WeightGraph:
-    """End to end: neighbor search, per-instance weight solve, row normalization."""
+    """End to end: neighbor search, the weight solve of every row at once,
+    row normalization."""
     X = np.asarray(X, dtype=np.float64)
     neighbors = build_knn(X, cfg)
-    raw = np.empty_like(neighbors, dtype=np.float64)
-    for i in range(X.shape[0]):
-        raw[i] = solve_weights(X[i], X[neighbors[i]])
-    return normalize_rows(neighbors, raw)
+    n, k = neighbors.shape
+    G = np.empty((n, k, k))
+    c = np.empty((n, k))
+    # blocks of about 2**16 gathered values keep the neighbor rows small next to X
+    step = max(1, 2**16 // (k * X.shape[1]))
+    for lo in range(0, n, step):
+        A = X[neighbors[lo:lo + step]]
+        G[lo:lo + step] = np.matmul(A, A.transpose(0, 2, 1))
+        c[lo:lo + step] = np.matmul(A, X[lo:lo + step, :, None])[:, :, 0]
+    return normalize_rows(neighbors, _nnls_stack(G, c))

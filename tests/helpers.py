@@ -12,6 +12,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from pmltk import Dataset, TrainerState, nuclear_norm, update_b_admm
 from pmltk._blas import single_threaded
+from pmltk.graph import NNLS_STEPS_PER_COLUMN, NNLS_TOL
 
 
 def fix_label_rows(T, rng):
@@ -78,6 +79,62 @@ def nnls_kkt_residual(A, b, v):
 def nnls_objective(A, b, v):
     r = A @ v - b
     return float(r @ r)
+
+
+def reference_nnls(A, b, counts=None):
+    """Oracle for the batched NNLS core: the single-row Lawson-Hanson loop
+    on ``G = A.T A``, ``c = A.T b``. When a dict is given as ``counts``,
+    it receives the outer steps taken (``steps``), the blocking steps
+    (``blocking``), the most blocking steps within one outer step
+    (``blocking_run``) and the singular passive blocks solved by least
+    squares (``lstsq``)."""
+    counts = {} if counts is None else counts
+    counts.update(steps=0, blocking=0, blocking_run=0, lstsq=0)
+    A = np.asarray(A, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    k = A.shape[1]
+    G = A.T @ A
+    c = A.T @ b
+    x = np.zeros(k)
+    passive = np.zeros(k, dtype=bool)
+
+    def solve_on_passive():
+        cols = np.flatnonzero(passive)
+        block = G[np.ix_(cols, cols)]
+        z = np.zeros(k)
+        try:
+            z[cols] = np.linalg.solve(block, c[cols])
+        except np.linalg.LinAlgError:
+            counts["lstsq"] += 1
+            z[cols] = np.linalg.lstsq(block, c[cols], rcond=None)[0]
+        return z
+
+    for _ in range(NNLS_STEPS_PER_COLUMN * k + 10):
+        w = c - G @ x
+        w[passive] = -np.inf
+        j = int(np.argmax(w))  # ties resolve to the smaller index
+        if w[j] <= NNLS_TOL:
+            break
+        counts["steps"] += 1
+        passive[j] = True
+        z = solve_on_passive()
+        run = 0
+        while True:
+            blocking = passive & (z <= 0.0)
+            if not blocking.any():
+                break
+            counts["blocking"] += 1
+            run += 1
+            counts["blocking_run"] = max(counts["blocking_run"], run)
+            denom = x[blocking] - z[blocking]
+            steps = np.where(denom > 0.0, x[blocking] / np.where(denom > 0, denom, 1.0), 0.0)
+            alpha = float(steps.min())
+            x = x + alpha * (z - x)
+            x[blocking] = np.where(steps == alpha, 0.0, x[blocking])
+            passive &= x > 0.0
+            z = solve_on_passive()
+        x = z
+    return x
 
 
 def svt_objective(B, M, t):

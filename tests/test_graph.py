@@ -1,11 +1,13 @@
+import importlib
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.optimize
-from helpers import brute_force_knn, nnls_kkt_residual, nnls_objective
+from helpers import brute_force_knn, nnls_kkt_residual, nnls_objective, reference_nnls
 
 import pmltk
 from pmltk import (
@@ -18,8 +20,40 @@ from pmltk import (
     build_knn,
     nnls,
     normalize_rows,
-    solve_weights,
 )
+from pmltk.graph import NNLS_STEPS_PER_COLUMN, _nnls_stack
+
+
+def duplicated_binary_rows(seed):
+    """Rows that repeat a few binary patterns or unions of two of them, so
+    neighbor columns are duplicated or linearly dependent. At a unit of
+    300 the gradient's roundoff exceeds the NNLS tolerance, a dependent
+    column enters the passive set and its block of A.T A is singular."""
+    rng = np.random.default_rng(seed)
+    base = rng.random((10, 30)) < 0.5
+    X = base[rng.integers(0, 10, size=40)]
+    X[:20] |= base[rng.integers(0, 10, size=20)]
+    return X * 300.0
+
+
+def neighbor_problems(X, k):
+    """The (A, b) pair of every row's weight solve in the kNN graph."""
+    nbrs = build_knn(X, KnnConfig(k=k))
+    return [(X[nbrs[i]].T, X[i]) for i in range(len(X))]
+
+
+def normal_equations(problems):
+    G = np.stack([A.T @ A for A, _ in problems])
+    c = np.stack([A.T @ b for A, b in problems])
+    return G, c
+
+
+def assert_matches_oracle(problems, got):
+    """Same support as the single-row loop, weights within 1e-12 relative."""
+    for i, ((A, b), v) in enumerate(zip(problems, got)):
+        ref = reference_nnls(A, b)
+        assert ((v > 0) == (ref > 0)).all(), f"row {i}"
+        assert np.abs(v - ref).max() <= 1e-12 * np.abs(ref).max(), f"row {i}"
 
 
 class TestBuildKnn:
@@ -80,20 +114,20 @@ class TestBuildKnn:
 class TestNnls:
     def test_exact_reconstruction_single_neighbor(self):
         x = np.array([2.0, -1.0, 0.5])
-        w = solve_weights(x, x[None, :])
+        w = nnls(x[:, None], x)
         assert np.allclose(w, [1.0], atol=1e-12)
 
     def test_symmetric_pair(self):
-        w = solve_weights(np.array([1.0, 0.0]), np.array([[1.0, 1.0], [1.0, -1.0]]))
+        w = nnls(np.array([[1.0, 1.0], [1.0, -1.0]]).T, np.array([1.0, 0.0]))
         assert np.allclose(w, [0.5, 0.5], atol=1e-12)
 
     def test_nonnegativity_binds(self):
-        w = solve_weights(np.array([1.0, 0.0]), np.array([[-1.0, 0.0]]))
+        w = nnls(np.array([[-1.0, 0.0]]).T, np.array([1.0, 0.0]))
         assert w.tolist() == [0.0]
 
     def test_non_finite_rejected(self):
         with pytest.raises(NumericError):
-            solve_weights(np.array([np.nan, 0.0]), np.ones((2, 2)))
+            nnls(np.ones((2, 2)).T, np.array([np.nan, 0.0]))
 
     @pytest.mark.parametrize("seed", range(40))
     def test_kkt_and_feasible_point_dominance(self, seed):
@@ -149,6 +183,79 @@ class TestNnls:
         assert np.allclose(A @ v, b, atol=1e-12)
         assert nnls_kkt_residual(A, b, v) <= 1e-8
 
+    def test_zero_columns(self):
+        v = nnls(np.zeros((3, 0)), np.ones(3))
+        assert v.shape == (0,)
+
+
+class TestNnlsStack:
+    """The lock-step core against the single-row loop, one kind of row at a time."""
+
+    @staticmethod
+    def solve_and_count(problems):
+        counts = []
+        for A, b in problems:
+            counts.append({})
+            reference_nnls(A, b, counts[-1])
+        return _nnls_stack(*normal_equations(problems)), counts
+
+    def test_rows_that_stop_at_step_zero(self):
+        # non-negative columns and a non-positive target: every gradient is <= 0
+        rng = np.random.default_rng(5)
+        problems = [(rng.random((12, 6)), -rng.random(12)) for _ in range(8)]
+        got, counts = self.solve_and_count(problems)
+        assert all(c["steps"] == 0 for c in counts)
+        assert (got == 0).all()
+        assert_matches_oracle(problems, got)
+
+    def test_rows_that_take_blocking_steps(self):
+        # fewer rows than columns: the passive set often overshoots
+        rng = np.random.default_rng(3)
+        problems = list(zip(rng.normal(size=(1000, 8, 10)), rng.normal(size=(1000, 8))))
+        got, counts = self.solve_and_count(problems)
+        # rows without blocking steps, with one and with two in a row, all
+        # in the same stack
+        assert {c["blocking_run"] for c in counts} == {0, 1, 2}
+        assert_matches_oracle(problems, got)
+
+    def test_rows_that_hit_the_step_cap(self):
+        # more columns than rows around a large common offset: roundoff lets a
+        # coordinate enter and leave again until the step cap
+        problems = []
+        for offset, seed in [(1e4, 285), (1e5, 53), (1e5, 167), (1e6, 173)]:
+            rng = np.random.default_rng(seed)
+            k, d = int(rng.integers(2, 9)), int(rng.integers(3, 20))
+            problems.append((offset + rng.normal(size=(d, k)), offset + rng.normal(size=d)))
+        rng = np.random.default_rng(7)
+        problems += [(rng.normal(size=(6, 7)), rng.normal(size=6)) for _ in range(4)]
+        got, counts = self.solve_and_count(problems)
+        capped = [c["steps"] == NNLS_STEPS_PER_COLUMN * 7 + 10 for c in counts]
+        assert capped == [True] * 4 + [False] * 4
+        assert_matches_oracle(problems, got)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_duplicated_binary_rows(self, seed):
+        problems = neighbor_problems(duplicated_binary_rows(seed), 8)
+        got, counts = self.solve_and_count(problems)
+        if seed == 0:
+            assert any(c["lstsq"] for c in counts)  # the singular fallback runs
+        assert_matches_oracle(problems, got)
+
+    def test_singular_row_leaves_the_others_alone(self):
+        problems = neighbor_problems(duplicated_binary_rows(0), 8)
+        singular = [i for i, c in enumerate(self.solve_and_count(problems)[1]) if c["lstsq"]]
+        rng = np.random.default_rng(8)
+        stack = [(rng.normal(size=(30, 8)), rng.normal(size=30)) for _ in range(20)]
+        stack.insert(7, problems[singular[0]])
+        G, c = normal_equations(stack)
+        got = _nnls_stack(G, c)
+        for i in range(len(stack)):
+            assert (got[i] == _nnls_stack(G[i:i + 1], c[i:i + 1])[0]).all(), f"row {i}"
+
+    def test_empty_stacks(self):
+        assert _nnls_stack(np.zeros((0, 4, 4)), np.zeros((0, 4))).shape == (0, 4)
+        assert _nnls_stack(np.zeros((3, 0, 0)), np.zeros((3, 0))).shape == (3, 0)
+
 
 class TestNormalizeRows:
     NBRS = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
@@ -188,10 +295,6 @@ class TestWeightGraph:
         assert M[0, 1] == 0.3 and M[0, 2] == 0.7 and M[1, 0] == 1.0
         assert M.diagonal().sum() == 0.0
 
-    def test_dumps_format(self):
-        g = WeightGraph(np.array([[1], [0]]), np.array([[1.0], [1.0]]))
-        assert g.dumps() == "0: 1=1.0\n1: 0=1.0\n"
-
 
 class TestBuildGraph:
     @pytest.mark.parametrize("seed", range(5))
@@ -207,15 +310,7 @@ class TestBuildGraph:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_binary_rows_with_duplicates(self, seed):
-        # Rows repeat a few binary patterns or unions of two of them, so
-        # neighbor columns are duplicated or linearly dependent. At a unit of
-        # 300 the gradient's roundoff exceeds the NNLS tolerance, a dependent
-        # column enters the passive set and its block of A.T A is singular.
-        rng = np.random.default_rng(seed)
-        base = rng.random((10, 30)) < 0.5
-        X = base[rng.integers(0, 10, size=40)]
-        X[:20] |= base[rng.integers(0, 10, size=20)]
-        X = X * 300.0
+        X = duplicated_binary_rows(seed)
         g = build_graph(X, KnnConfig(k=8))
         assert np.abs(g.weights.sum(axis=1) - 1.0).max() <= 1e-12
         for i in range(40):
@@ -229,7 +324,19 @@ class TestBuildGraph:
         nbrs = build_knn(X, cfg)
         for i in range(30):
             A = X[nbrs[i]].T
-            v = solve_weights(X[i], X[nbrs[i]])
+            v = nnls(A, X[i])
             obj = nnls_objective(A, X[i], v)
             assert obj <= nnls_objective(A, X[i], np.zeros(4)) + 1e-9
             assert obj <= nnls_objective(A, X[i], np.full(4, 0.25)) + 1e-9
+
+    @pytest.mark.parametrize("features", ["binary", "real"])
+    def test_matches_oracle_on_benchmark_shaped_data(self, features, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        datagen = importlib.import_module("datagen")
+        X, _ = datagen.generate("genbase", features, 3, rows=90)
+        g = build_graph(X, KnnConfig(k=10))
+        problems = [(X[g.neighbors[i]].T, X[i]) for i in range(len(X))]
+        raw = np.stack([reference_nnls(A, b) for A, b in problems])
+        ref = normalize_rows(g.neighbors, raw).weights
+        assert ((g.weights > 0) == (ref > 0)).all()
+        assert np.abs(g.weights - ref).max() <= 1e-12

@@ -1,4 +1,6 @@
+import contextlib
 import importlib
+import io
 import json
 import logging
 from pathlib import Path
@@ -28,7 +30,7 @@ from pmltk import (
     save_model,
     select_lambda2,
 )
-from pmltk.cli import main
+from pmltk.cli import _StderrHandler, main
 from pmltk.metrics import METRIC_NAMES
 from pmltk.pipeline import _fold_indices, _stage
 
@@ -356,6 +358,36 @@ class TestCli:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+
+class TestCliWarnings:
+    def test_cap_warning_printed_once_per_command(self, toy_file, tmp_path, capsys):
+        args = ["train", str(toy_file), "--k", "4", "--lambda2", "10",
+                "--out", str(tmp_path / "model.txt")]
+        # each call writes to the stderr in place when it runs, as when a
+        # caller redirects every command into its own buffer
+        for _ in range(2):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert main(args) == 0
+            [line] = err.getvalue().splitlines()
+            assert line.startswith("WARNING: fit stopped at outer_max=50 without meeting outer_tol")
+        assert main(args) == 0
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("WARNING: fit stopped at outer_max=50")
+        log = logging.getLogger("pmltk")
+        assert sum(isinstance(h, _StderrHandler) for h in log.handlers) == 1
+
+    def test_info_stays_silent(self, toy_file, tmp_path, capsys, caplog):
+        # let INFO records reach the handlers: the CV table is logged at INFO
+        caplog.set_level(logging.INFO, logger="pmltk")
+        assert main(["train", str(toy_file), "--k", "4", "--cv-folds", "2",
+                     "--out", str(tmp_path / "model.txt")]) == 0
+        assert any(r.levelno == logging.INFO and "lambda2 CV" in r.getMessage()
+                   for r in caplog.records)
+        err = capsys.readouterr().err
+        assert "lambda2 CV" not in err
+        assert "WARNING: fit stopped at outer_max" in err
 
 
 class TestBenchHooks:
