@@ -7,27 +7,8 @@ training, ranking metrics and a reproducible benchmark harness.
 
 import logging
 
-from .data import (
-    DENSE_FORMAT,
-    FORMATS,
-    SPARSE_FORMAT,
-    Dataset,
-    NoiseConfig,
-    SplitSpec,
-    inject_noise,
-    load,
-    save,
-    split,
-)
-from .enrichment import (
-    EnrichmentMatrix,
-    PropagationConfig,
-    enrich,
-    load_enrichment,
-    normalize_step,
-    propagate_step,
-    save_enrichment,
-)
+from .data import Dataset, NoiseConfig, SplitSpec, inject_noise, load, split
+from .enrichment import EnrichmentMatrix, PropagationConfig, enrich, load_enrichment
 from .errors import (
     ConfigError,
     DataError,
@@ -39,38 +20,10 @@ from .errors import (
     StateError,
     ValidationError,
 )
-from .graph import (
-    KnnConfig,
-    WeightGraph,
-    build_graph,
-    build_knn,
-    nnls,
-    normalize_rows,
-)
-from .metrics import MetricsReport, aggregate, evaluate
-from .pipeline import (
-    ExperimentConfig,
-    derive_seed,
-    prepare_dataset,
-    run_benchmark,
-    run_pipeline,
-    select_lambda2,
-)
-from .trainer import (
-    Model,
-    TrainerConfig,
-    TrainerState,
-    fit,
-    load_model,
-    nuclear_norm,
-    objective,
-    predict,
-    prox_nuclear,
-    save_model,
-    update_b_admm,
-    update_c,
-    update_w,
-)
+from .graph import KnnConfig, build_graph, nnls
+from .metrics import MetricsReport, evaluate
+from .pipeline import ExperimentConfig, run_benchmark, select_lambda2
+from .trainer import Model, TrainerConfig, fit, load_model, predict, prox_nuclear
 
 __version__ = "0.1.0"
 

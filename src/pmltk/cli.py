@@ -27,8 +27,6 @@ def _parse_grid(ctx, param, text: str) -> tuple[float, ...]:
         values = tuple(float(t) for t in text.split(",") if t.strip())
     except ValueError:
         raise ConfigError(f"bad lambda2 grid {text!r}; expected comma-separated numbers")
-    if not values:
-        raise ConfigError("lambda2 grid must be non-empty")
     return values
 
 
@@ -189,30 +187,14 @@ def benchmark_cmd(dataset, report_format, out, **options):
         click.echo(f"wrote {out}")
 
 
-class _StderrHandler(logging.StreamHandler):
-    """Writes to whatever ``sys.stderr`` is when a record is emitted, so a
-    stderr redirected after the handler was installed still gets it."""
-
-    def __init__(self):
-        logging.Handler.__init__(self, logging.WARNING)
-
-    @property
-    def stream(self):
-        return sys.stderr
-
-
-def _install_stderr_handler() -> None:
-    """Print the library's warnings on stderr; at most one handler is added."""
-    log = logging.getLogger("pmltk")
-    if not any(isinstance(h, _StderrHandler) for h in log.handlers):
-        handler = _StderrHandler()
-        handler.setFormatter(logging.Formatter("%(levelname)s: %(message)s"))
-        log.addHandler(handler)
-
-
 def main(argv=None) -> int:
-    """Entry point returning the documented exit codes."""
-    _install_stderr_handler()
+    """Entry point returning the documented exit codes. While it runs, the
+    library's warnings go to the ``sys.stderr`` in place when it is called."""
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setLevel(logging.WARNING)
+    handler.setFormatter(logging.Formatter("%(levelname)s: %(message)s"))
+    log = logging.getLogger("pmltk")
+    log.addHandler(handler)
     try:
         cli.main(args=argv, prog_name="pmltk", standalone_mode=False)
     except click.exceptions.Exit as exc:  # e.g. --help
@@ -231,6 +213,8 @@ def main(argv=None) -> int:
     except NumericError as exc:
         click.echo(f"error: {exc}", err=True)
         return 3
+    finally:
+        log.removeHandler(handler)
     return 0
 
 

@@ -65,17 +65,6 @@ class EnrichmentMatrix:
         return self.Yhat.shape[1]
 
 
-def propagate_step(F_prev, F0, graph: WeightGraph, alpha: float) -> np.ndarray:
-    """One propagation update: ``alpha * V.T @ F_prev + (1 - alpha) * F0``."""
-    F_prev = np.asarray(F_prev, dtype=np.float64)
-    F0 = np.asarray(F0, dtype=np.float64)
-    if F_prev.shape != F0.shape or F_prev.shape[0] != graph.n:
-        raise ShapeError(
-            f"inconsistent shapes: F_prev{F_prev.shape}, F0{F0.shape}, graph n={graph.n}"
-        )
-    return alpha * (graph.matrix().T @ F_prev) + (1.0 - alpha) * F0
-
-
 def normalize_step(F, Y) -> np.ndarray:
     """Rescale each row by its global minimum and candidate maximum.
 

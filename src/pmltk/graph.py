@@ -35,13 +35,10 @@ NNLS_STEPS_PER_COLUMN = 3
 @dataclass(frozen=True)
 class KnnConfig:
     k: int = 10
-    distance: str = "euclidean"
 
     def __post_init__(self):
         if self.k < 1:
             raise ConfigError(f"neighbor count must be >= 1, got {self.k}")
-        if self.distance != "euclidean":
-            raise ConfigError(f"unsupported distance {self.distance!r}")
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from .enrichment import EnrichmentMatrix, PropagationConfig, enrich
 from .errors import ConfigError, DataError, PmltkError, StateError
 from .graph import KnnConfig, build_graph
 from .metrics import METRIC_NAMES, MetricsReport, aggregate, evaluate
-from .trainer import Model, TrainerConfig, fit, predict
+from .trainer import TrainerConfig, fit, predict
 
 _log = logging.getLogger(__name__)
 
@@ -104,12 +104,6 @@ def derive_seed(master: int, *path: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def prepare_dataset(cfg: ExperimentConfig) -> Dataset:
-    """Load and corrupt once; all splits share the same noisy dataset."""
-    ds = load(cfg.dataset, cfg.data_format)
-    return inject_noise(ds, NoiseConfig(a=cfg.noise, seed=derive_seed(cfg.seed, _STAGE_NOISE)))
-
-
 def standardize(train: Dataset, test: Dataset | None = None):
     """Z-score features on train statistics; constant columns pass through."""
     mu = train.X.mean(axis=0)
@@ -143,31 +137,22 @@ def _fold_indices(n: int, folds: int, seed: int) -> list[np.ndarray]:
 
 
 @single_threaded
-def select_lambda2(
-    train: Dataset,
-    grid,
-    folds: int,
-    seed: int,
-    knn_cfg: KnnConfig = KnnConfig(),
-    prop_cfg: PropagationConfig = PropagationConfig(),
-    lambda1: float = 1.0,
-    tau: float = 1.0,
-    admm_iters: int = 5,
-) -> float:
-    """Cross-validated ridge weight.
+def select_lambda2(train: Dataset, cfg: ExperimentConfig, seed: int) -> float:
+    """Cross-validated ridge weight from ``cfg.lambda2_grid``.
 
-    For each fold the remaining instances are enriched once (the
-    enrichment does not depend on the grid value) and a model is fit
-    per grid value; fold scores are average precision against the
-    held-out candidate labels. Highest mean wins, ties go to the
+    ``train`` is split into ``cfg.cv_folds`` folds seeded by ``seed``.
+    For each fold the remaining instances are enriched once with
+    ``cfg``'s kNN and propagation settings (the enrichment does not
+    depend on the grid value) and a model is fit per grid value with
+    ``cfg.trainer_config``; fold scores are average precision against
+    the held-out candidate labels. Highest mean wins, ties go to the
     smaller value. The mean AP of every grid value and the choice are
     logged at INFO on the ``pmltk.pipeline`` logger.
     """
-    grid = sorted(float(g) for g in grid)
-    if not grid:
-        raise ConfigError("lambda2 grid must be non-empty")
+    grid = sorted(float(g) for g in cfg.lambda2_grid)
     if len(grid) == 1:
         return grid[0]
+    folds = cfg.cv_folds
     if train.n < folds:
         raise ConfigError(
             f"cannot make {folds} folds out of {train.n} training instances"
@@ -179,13 +164,10 @@ def select_lambda2(
         rest = np.setdiff1d(all_idx, part)
         sub = train.subset(rest)
         held = train.subset(part)
-        graph = build_graph(sub.X, knn_cfg)
-        em = enrich(sub, graph, prop_cfg)
+        graph = build_graph(sub.X, cfg.knn_config())
+        em = enrich(sub, graph, cfg.propagation_config())
         for gi, lam in enumerate(grid):
-            tcfg = TrainerConfig(
-                lambda1=lambda1, lambda2=lam, tau=tau, admm_iters=admm_iters
-            )
-            model, _, _ = fit(sub.X, em.Yhat, sub.Y, tcfg)
+            model, _, _ = fit(sub.X, em.Yhat, sub.Y, cfg.trainer_config(lam))
             scores, labels = predict(model, held.X)
             ap_sums[gi] += evaluate(scores, labels, held.Y).ap
     best = int(np.argmax(ap_sums))  # first max = smallest grid value on ties
@@ -232,17 +214,7 @@ def fit_pipeline(
         lam2 = float(cfg.lambda2)
     else:
         with _stage("lambda2 selection"):
-            lam2 = select_lambda2(
-                train,
-                cfg.lambda2_grid,
-                cfg.cv_folds,
-                derive_seed(cfg.seed, _STAGE_CV, split_index),
-                knn_cfg=cfg.knn_config(),
-                prop_cfg=cfg.propagation_config(),
-                lambda1=cfg.lambda1,
-                tau=cfg.tau,
-                admm_iters=cfg.admm_iters,
-            )
+            lam2 = select_lambda2(train, cfg, derive_seed(cfg.seed, _STAGE_CV, split_index))
     if enrichment is None:
         with _stage("enrichment"):
             graph = build_graph(train.X, cfg.knn_config())
@@ -250,29 +222,6 @@ def fit_pipeline(
     with _stage("training"):
         model, _, trace = fit(train.X, enrichment.Yhat, train.Y, cfg.trainer_config(lam2))
     return model, trace, lam2
-
-
-def _run_split(noisy: Dataset, cfg: ExperimentConfig, index: int):
-    with _stage("split"):
-        train, test = split(
-            noisy,
-            SplitSpec(cfg.split_fraction, derive_seed(cfg.seed, _STAGE_SPLIT, index)),
-        )
-        train, test = _transform(train, test, cfg)
-    model, _, lam2 = fit_pipeline(train, cfg, index)
-    with _stage("evaluation"):
-        scores, labels = predict(model, test.X)
-        if test.Ytruth is None:
-            raise StateError("test split carries no ground truth to evaluate against")
-        report = evaluate(scores, labels, test.Ytruth)
-    return model, report, lam2
-
-
-def run_pipeline(cfg: ExperimentConfig, split_index: int = 0) -> tuple[Model, MetricsReport]:
-    """Full two-stage run on one split: corrupt, split, enrich, train, evaluate."""
-    noisy = prepare_dataset(cfg)
-    model, report, _ = _run_split(noisy, cfg, split_index)
-    return model, report
 
 
 @single_threaded
@@ -283,12 +232,21 @@ def run_benchmark(cfg: ExperimentConfig) -> dict:
     selected lambda2 values. Writes and prints nothing; the CLI's
     ``benchmark`` command writes the report file and the summary table.
     """
-    noisy = prepare_dataset(cfg)
+    # corrupt once: all splits share the same noisy dataset
+    ds = load(cfg.dataset, cfg.data_format)
+    noisy = inject_noise(ds, NoiseConfig(a=cfg.noise, seed=derive_seed(cfg.seed, _STAGE_NOISE)))
     reports: list[MetricsReport] = []
     lambdas: list[float] = []
     for i in range(cfg.splits):
         try:
-            _, report, lam2 = _run_split(noisy, cfg, i)
+            with _stage("split"):
+                spec = SplitSpec(cfg.split_fraction, derive_seed(cfg.seed, _STAGE_SPLIT, i))
+                train, test = _transform(*split(noisy, spec), cfg)
+            model, _, lam2 = fit_pipeline(train, cfg, i)
+            with _stage("evaluation"):
+                if test.Ytruth is None:
+                    raise StateError("test split carries no ground truth to evaluate against")
+                report = evaluate(*predict(model, test.X), test.Ytruth)
         except PmltkError as exc:
             exc.args = (f"split {i} failed: {exc}",)
             raise

@@ -61,6 +61,10 @@ class TrainerConfig:
     outer_tol: float = 1e-5
 
     def __post_init__(self):
+        if not np.isfinite([self.lambda1, self.lambda2, self.tau]).all():
+            raise ConfigError(
+                f"lambda1, lambda2 and tau must be finite, got {self.lambda1}, {self.lambda2}, {self.tau}"
+            )
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ConfigError("regularization weights must be non-negative")
         if not self.tau > 0:
@@ -74,12 +78,14 @@ class TrainerConfig:
 @dataclass
 class TrainerState:
     """Mutable optimization state: confidences C (n x l), correlation B
-    (l x l), ADMM auxiliary Bhat and multipliers Theta, predictor W (d x l).
+    (l x l), ADMM auxiliary Bhat and multipliers Theta, predictor W (d x l),
+    and the fitted values ``XW = X @ W`` (n x l) and ``W_norm2 =
+    ||W||_F^2``.
 
-    ``XW`` (n x l) and ``W_norm2`` cache ``X @ W`` and ``||W||_F^2``;
-    ``None`` means "compute from W". ``fit`` keeps them current and
-    leaves ``W`` itself stale until it returns, so whoever changes ``W``
-    by hand must reset them.
+    The updates read the predictor only through ``XW`` and ``W_norm2``.
+    ``fit`` keeps those two current and forms ``W`` itself only when it
+    returns, so whoever builds or changes a state by hand must set all
+    three consistently.
     """
 
     C: np.ndarray
@@ -87,12 +93,8 @@ class TrainerState:
     Bhat: np.ndarray
     Theta: np.ndarray
     W: np.ndarray
-    XW: np.ndarray | None = None
-    W_norm2: float | None = None
-
-    def fitted(self, X) -> np.ndarray:
-        """``X @ W``, from the cache when it is set."""
-        return X @ self.W if self.XW is None else self.XW
+    XW: np.ndarray
+    W_norm2: float
 
 
 @dataclass(frozen=True)
@@ -125,23 +127,22 @@ def prox_nuclear(M, threshold: float) -> np.ndarray:
     return (U * np.maximum(s - threshold, 0.0)) @ Vt
 
 
-def objective(state: TrainerState, X, Yhat, cfg: TrainerConfig) -> float:
+def objective(state: TrainerState, Yhat, cfg: TrainerConfig) -> float:
     """Full objective value at the current state."""
     r1 = Yhat - state.C @ state.B
-    r2 = state.C - state.fitted(X)
-    w_norm2 = float(np.vdot(state.W, state.W)) if state.W_norm2 is None else state.W_norm2
+    r2 = state.C - state.XW
     val = (
         float(np.vdot(r1, r1))
         + float(np.vdot(r2, r2))
         + cfg.lambda1 * nuclear_norm(state.B)
-        + cfg.lambda2 * w_norm2
+        + cfg.lambda2 * state.W_norm2
     )
     if not np.isfinite(val):
         raise NumericError("objective is not finite")
     return val
 
 
-def update_c(state: TrainerState, X, Yhat, Y) -> np.ndarray:
+def update_c(state: TrainerState, Yhat, Y) -> np.ndarray:
     """Confidence update: solve the stationarity system, clamp, mask.
 
     The unconstrained minimizer ``(Yhat B^T + X W)(B B^T + I)^{-1}`` is
@@ -155,7 +156,7 @@ def update_c(state: TrainerState, X, Yhat, Y) -> np.ndarray:
         factor = cho_factor(G, lower=True)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"confidence-system factorization failed: {exc}") from None
-    rhs = Yhat @ B.T + state.fitted(X)
+    rhs = Yhat @ B.T + state.XW
     C = cho_solve(factor, rhs.T).T
     np.clip(C, 0.0, 1.0, out=C)
     C[np.asarray(Y) == 0] = 0.0
@@ -229,11 +230,9 @@ class RidgeSolver:
         return self.X.T @ coef if self.dual else coef
 
 
-def update_w(state: TrainerState, X, cfg: TrainerConfig, solver: RidgeSolver | None = None):
+def update_w(state: TrainerState, solver: RidgeSolver):
     """Ridge update of the predictor given the current confidences:
-    ``(coef, X W, ||W||_F^2)`` from ``RidgeSolver.solve``."""
-    if solver is None:
-        solver = RidgeSolver(X, cfg.lambda2)
+    ``(coef, X W, ||W||_F^2)`` from ``solver.solve``."""
     return solver.solve(state.C)
 
 
@@ -274,12 +273,12 @@ def fit(X, Yhat, Y, cfg: TrainerConfig = TrainerConfig()):
         W_norm2=0.0,
     )
     solver = RidgeSolver(X, cfg.lambda2)
-    trace = [objective(state, X, Yhat, cfg)]
+    trace = [objective(state, Yhat, cfg)]
     for _ in range(cfg.outer_max):
-        state.C = update_c(state, X, Yhat, Y)
+        state.C = update_c(state, Yhat, Y)
         state.Bhat, state.B, state.Theta = update_b_admm(state, Yhat, cfg)
-        coef, state.XW, state.W_norm2 = update_w(state, X, cfg, solver=solver)
-        trace.append(objective(state, X, Yhat, cfg))
+        coef, state.XW, state.W_norm2 = update_w(state, solver)
+        trace.append(objective(state, Yhat, cfg))
         change = abs(trace[-1] - trace[-2]) / max(1.0, abs(trace[-2]))
         if change < cfg.outer_tol:
             break

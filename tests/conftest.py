@@ -1,19 +1,4 @@
-"""Test-session plumbing: one pass/fail line per acceptance criterion, and
-the ``pmltk`` logger's handlers reset after every test."""
-
-import logging
-
-import pytest
-
-
-@pytest.fixture(autouse=True)
-def _restore_pmltk_log_handlers():
-    """``pmltk.cli.main`` adds a stderr handler to the ``pmltk`` logger for
-    the rest of the process; every test starts from the library's own."""
-    log = logging.getLogger("pmltk")
-    saved = list(log.handlers)
-    yield
-    log.handlers[:] = saved
+"""Test-session plumbing: one pass/fail line per acceptance criterion."""
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -10,9 +10,10 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from pmltk import Dataset, TrainerState, nuclear_norm, update_b_admm
+from pmltk import Dataset
 from pmltk._blas import single_threaded
 from pmltk.graph import NNLS_STEPS_PER_COLUMN, NNLS_TOL
+from pmltk.trainer import TrainerState, nuclear_norm, update_b_admm
 
 
 def fix_label_rows(T, rng):
@@ -143,6 +144,12 @@ def svt_objective(B, M, t):
     return float(t * sing.sum() + 0.5 * ((B - M) ** 2).sum())
 
 
+def trainer_state(X, C, B, Bhat, Theta, W):
+    """A ``TrainerState`` whose carried ``X W`` and ``||W||_F^2`` are
+    computed from ``W``."""
+    return TrainerState(C, B, Bhat, Theta, W, X @ W, float(np.vdot(W, W)))
+
+
 @single_threaded
 def reference_fit(X, Yhat, Y, cfg):
     """Oracle for ``fit``: the alternating loop without carried values,
@@ -179,7 +186,7 @@ def reference_fit(X, Yhat, Y, cfg):
         C = cho_solve(cho_factor(G, lower=True), rhs.T).T
         np.clip(C, 0.0, 1.0, out=C)
         C[Y == 0] = 0.0
-        Bhat, B, Theta = update_b_admm(TrainerState(C, B, Bhat, Theta, W), Yhat, cfg)
+        Bhat, B, Theta = update_b_admm(trainer_state(X, C, B, Bhat, Theta, W), Yhat, cfg)
         W = X.T @ cho_solve(ridge, C) if dual else cho_solve(ridge, X.T @ C)
         trace.append(objective(C, B, W))
         if abs(trace[-1] - trace[-2]) / max(1.0, abs(trace[-2])) < cfg.outer_tol:

@@ -8,7 +8,8 @@ import pytest
 from helpers import clustered_dataset
 
 import pmltk
-from pmltk import TrainerConfig, fit, save
+from pmltk import TrainerConfig, fit
+from pmltk.data import save
 from pmltk._blas import single_threaded, thread_counts
 
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -15,9 +15,9 @@ from pmltk import (
     ValidationError,
     inject_noise,
     load,
-    save,
     split,
 )
+from pmltk.data import save
 from pmltk.enrichment import load_enrichment, save_enrichment
 from pmltk.trainer import (
     Model,

@@ -1,0 +1,37 @@
+"""The README's library example runs as written against the package."""
+
+import re
+from pathlib import Path
+
+from helpers import clustered_dataset
+
+import pmltk
+from pmltk.data import save
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def library_block():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    [code] = re.findall(r"```python\n(.*?)```", section, flags=re.S)
+    return section, code
+
+
+def test_library_example_runs(tmp_path, monkeypatch):
+    # the example reads original.sml from the working directory
+    save(clustered_dataset(n=48, d=5, l=4, groups=3, seed=21), tmp_path / "original.sml",
+         "sparse-multilabel")
+    monkeypatch.chdir(tmp_path)
+    _, code = library_block()
+    scope = {}
+    exec(compile(code, str(README), "exec"), scope)
+    assert 0.0 <= scope["report"].ap <= 1.0
+
+
+def test_library_section_names_exist():
+    section, _ = library_block()
+    names = set(re.findall(r"\bpmltk\.(\w+)", section))
+    assert {"load", "fit", "run_benchmark", "ExperimentConfig"} <= names
+    assert [n for n in sorted(names) if not hasattr(pmltk, n)] == []
+    assert callable(pmltk.select_lambda2)

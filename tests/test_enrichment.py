@@ -2,54 +2,62 @@ import logging
 
 import numpy as np
 import pytest
-from helpers import random_dataset
+from helpers import fix_label_rows, random_dataset
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmltk import (
     ConfigError,
     Dataset,
-    EnrichmentMatrix,
     KnnConfig,
     PropagationConfig,
     ShapeError,
     ValidationError,
-    WeightGraph,
     build_graph,
     enrich,
-    normalize_step,
-    propagate_step,
 )
-from pmltk.enrichment import load_enrichment, save_enrichment
+from pmltk import enrichment
+from pmltk.enrichment import load_enrichment, normalize_step, save_enrichment
+from pmltk.graph import WeightGraph
 
 
 def two_node_graph():
     return WeightGraph(np.array([[1], [0]]), np.array([[1.0], [1.0]]))
 
 
-class TestPropagateStep:
-    def test_zero_alpha_returns_original(self):
-        g = two_node_graph()
-        F0 = np.array([[1.0, 0.0], [0.0, 1.0]])
-        F_prev = np.array([[0.3, 0.4], [0.9, 0.1]])
-        assert (propagate_step(F_prev, F0, g, 0.0) == F0).all()
+def propagated(monkeypatch, Y, graph, alpha, first=None):
+    """The scores ``enrich`` hands to ``normalize_step`` in its first
+    iteration, or in its second when the first normalization returns
+    ``first``: ``alpha * V.T @ F_prev + (1 - alpha) * F0`` with F0 = Y."""
+    seen, returns = [], [] if first is None else [first]
 
-    def test_mutual_neighbors_half_mix(self):
+    def record(F, _Y):
+        seen.append(F.copy())
+        return returns.pop() if returns else F
+
+    monkeypatch.setattr(enrichment, "normalize_step", record)
+    cfg = PropagationConfig(alpha=alpha, max_iters=len(returns) + 1)
+    enrich(Dataset(np.zeros((graph.n, 1)), Y), graph, cfg)
+    return seen[-1]
+
+
+class TestPropagateStep:
+    def test_zero_alpha_returns_original(self, monkeypatch):
         g = two_node_graph()
-        F0 = np.array([[1.0, 0.0], [0.0, 1.0]])
-        out = propagate_step(F0, F0, g, 0.5)
+        Y = np.array([[1, 0], [0, 1]])
+        F_prev = np.array([[0.3, 0.4], [0.9, 0.1]])
+        assert (propagated(monkeypatch, Y, g, 0.0, first=F_prev) == Y).all()
+
+    def test_mutual_neighbors_half_mix(self, monkeypatch):
+        g = two_node_graph()
+        out = propagated(monkeypatch, np.array([[1, 0], [0, 1]]), g, 0.5)
         assert np.allclose(out, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
-    def test_preserves_nonnegativity(self):
+    def test_preserves_nonnegativity(self, monkeypatch):
         rng = np.random.default_rng(0)
         g = build_graph(rng.normal(size=(12, 3)), KnnConfig(k=4))
-        F0 = rng.random((12, 5))
-        assert (propagate_step(F0, F0, g, 1.0) >= 0).all()
-
-    def test_shape_check(self):
-        g = two_node_graph()
-        with pytest.raises(ShapeError):
-            propagate_step(np.zeros((3, 2)), np.zeros((2, 2)), g, 0.5)
+        Y = fix_label_rows((rng.random((12, 5)) < 0.5).astype(np.int8), rng)
+        assert (propagated(monkeypatch, Y, g, 1.0) >= 0).all()
 
 
 class TestNormalizeStep:
@@ -159,7 +167,7 @@ class TestEnrich:
         [record] = caplog.records
         assert record.name == "pmltk.enrichment"
         F0 = ds.Y.astype(float)
-        F1 = normalize_step(propagate_step(F0, F0, g, 0.05), ds.Y)
+        F1 = normalize_step(0.05 * (g.matrix().T @ F0) + (1.0 - 0.05) * F0, ds.Y)
         change = np.linalg.norm(F1 - F0) / max(1.0, np.linalg.norm(F0))
         assert "max_iters=1" in record.getMessage()
         assert f"last relative change {change:.3g}" in record.getMessage()

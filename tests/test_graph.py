@@ -15,13 +15,10 @@ from pmltk import (
     KnnConfig,
     NumericError,
     ValidationError,
-    WeightGraph,
     build_graph,
-    build_knn,
     nnls,
-    normalize_rows,
 )
-from pmltk.graph import NNLS_STEPS_PER_COLUMN, _nnls_stack
+from pmltk.graph import NNLS_STEPS_PER_COLUMN, WeightGraph, _nnls_stack, build_knn, normalize_rows
 
 
 def duplicated_binary_rows(seed):

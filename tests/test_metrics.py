@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from helpers import brute_force_metrics
 
-from pmltk import MetricsReport, ShapeError, ValidationError, aggregate, evaluate
-from pmltk.metrics import report_to_json, reports_to_csv, reports_to_json
+from pmltk import MetricsReport, ShapeError, ValidationError, evaluate
+from pmltk.metrics import aggregate, report_to_json, reports_to_csv, reports_to_json
 
 
 def random_case(rng, allow_degenerate=True):

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import importlib
 import io
 import json
@@ -18,21 +19,19 @@ from pmltk import (
     PropagationConfig,
     TrainerConfig,
     build_graph,
-    derive_seed,
     enrich,
     evaluate,
     fit,
     load,
     predict,
     run_benchmark,
-    run_pipeline,
-    save,
-    save_model,
     select_lambda2,
 )
-from pmltk.cli import _StderrHandler, main
+from pmltk.cli import main
+from pmltk.data import save
 from pmltk.metrics import METRIC_NAMES
-from pmltk.pipeline import _fold_indices, _stage
+from pmltk.pipeline import _fold_indices, _stage, derive_seed
+from pmltk.trainer import save_model
 
 
 @pytest.fixture()
@@ -55,6 +54,11 @@ def toy_config(path, **over):
     )
     base.update(over)
     return ExperimentConfig(**base)
+
+
+def split_report(cfg, index=0):
+    """The report of split ``index`` of the benchmark protocol under ``cfg``."""
+    return run_benchmark(dataclasses.replace(cfg, splits=index + 1))["per_split"][index]
 
 
 def toy_args(path, *extra):
@@ -83,25 +87,25 @@ class TestFolds:
 
 
 class TestSelectLambda2:
+    # select_lambda2 reads no file, so its configs name none
+
     def test_singleton_grid_short_circuits(self):
         # a dataset far too small for any cross-validation: must not matter
         ds = random_dataset(n=3, d=2, l=3, seed=0)
-        assert select_lambda2(ds, [42.0], folds=5, seed=0) == 42.0
+        assert select_lambda2(ds, toy_config("", lambda2_grid=(42.0,), cv_folds=5), seed=0) == 42.0
 
     def test_tie_goes_to_smaller_value(self):
         # perfectly separable data: both grid values reach AP 1 on every fold
         ds = clustered_dataset(n=40, d=4, l=4, groups=2, seed=5, scale=0.05)
-        lam = select_lambda2(
-            ds, [100.0, 10.0], folds=2, seed=1,
-            knn_cfg=KnnConfig(k=3), prop_cfg=PropagationConfig(),
-        )
+        lam = select_lambda2(ds, toy_config("", k=3, lambda2_grid=(100.0, 10.0)), seed=1)
         assert lam == 10.0
 
     def test_logs_cv_score_table(self, caplog):
         ds = clustered_dataset(n=40, d=6, l=5, groups=4, seed=3, scale=4.0)
         grid, folds, seed, knn = [100.0, 0.1], 2, 1, KnnConfig(k=3)
+        cfg = toy_config("", k=3, lambda2_grid=tuple(grid), cv_folds=folds)
         with caplog.at_level(logging.INFO, logger="pmltk"):
-            lam = select_lambda2(ds, grid, folds=folds, seed=seed, knn_cfg=knn)
+            lam = select_lambda2(ds, cfg, seed=seed)
         [record] = [r for r in caplog.records if r.name == "pmltk.pipeline"]
         assert record.levelno == logging.INFO
         head, _, chosen = record.getMessage().partition("; selected ")
@@ -124,31 +128,27 @@ class TestSelectLambda2:
     def test_fewer_instances_than_folds(self):
         ds = random_dataset(n=4, d=2, l=3, seed=1)
         with pytest.raises(ConfigError):
-            select_lambda2(ds, [1.0, 10.0], folds=5, seed=0, knn_cfg=KnnConfig(k=2))
+            select_lambda2(ds, toy_config("", k=2, lambda2_grid=(1.0, 10.0), cv_folds=5), seed=0)
 
 
 class TestRunPipeline:
+    """One split of the protocol, read from ``run_benchmark``'s reports."""
+
     def test_deterministic_report(self, toy_file):
         cfg = toy_config(toy_file)
-        _, r1 = run_pipeline(cfg, split_index=0)
-        _, r2 = run_pipeline(cfg, split_index=0)
-        assert r1 == r2
+        assert split_report(cfg, 0) == split_report(cfg, 0)
 
     def test_split_index_changes_result(self, toy_file):
-        cfg = toy_config(toy_file)
-        _, r0 = run_pipeline(cfg, split_index=0)
-        _, r1 = run_pipeline(cfg, split_index=1)
+        r0, r1 = run_benchmark(toy_config(toy_file, splits=2))["per_split"]
         assert r0 != r1
 
     def test_separable_data_scores_high(self, toy_file):
-        cfg = toy_config(toy_file, noise=50)
-        _, report = run_pipeline(cfg)
-        assert report.ap > 0.9
+        assert split_report(toy_config(toy_file, noise=50))["ap"] > 0.9
 
     def test_noise_degrades_gently(self, toy_file):
         # soft check: clean supervision should not lose to heavy corruption
-        ap0 = run_pipeline(toy_config(toy_file, noise=0))[1].ap
-        ap200 = run_pipeline(toy_config(toy_file, noise=200))[1].ap
+        ap0 = split_report(toy_config(toy_file, noise=0))["ap"]
+        ap200 = split_report(toy_config(toy_file, noise=200))["ap"]
         assert ap0 >= ap200 - 0.02
 
 
@@ -219,7 +219,7 @@ class TestErrorContext:
         # k larger than any cross-validation subtrain: fails during tuning
         cfg = toy_config(toy_file, k=30)
         with pytest.raises(ConfigError, match="lambda2 selection stage"):
-            run_pipeline(cfg)
+            split_report(cfg)
 
     def test_split_index_in_benchmark_errors(self, toy_file, capsys):
         cfg = toy_config(toy_file, k=30)
@@ -287,8 +287,7 @@ class TestCli:
         capsys.readouterr()
         ds = load(toy_file)
         knn, prop = KnnConfig(k=10), PropagationConfig(alpha=0.05)
-        lam = select_lambda2(ds, (10.0, 100.0), 2, derive_seed(2, 2, 0),
-                             knn_cfg=knn, prop_cfg=prop)
+        lam = select_lambda2(ds, toy_config(toy_file, k=10), derive_seed(2, 2, 0))
         em = enrich(ds, build_graph(ds.X, knn), prop)
         ref, _, _ = fit(ds.X, em.Yhat, ds.Y, TrainerConfig(lambda2=lam))
         save_model(ref, tmp_path / "ref.txt")
@@ -299,6 +298,17 @@ class TestCli:
         code = main(["train", str(toy_file), "--cv-folds", folds,
                      "--out", str(tmp_path / "model.txt")])
         assert "cv_folds must be >= 2" in capsys.readouterr().err
+        assert code == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--lambda2", "nan"], ["--lambda2", "inf"], ["--lambda1", "nan"],
+        ["--lambda2-grid", "nan,10"],
+    ])
+    def test_non_finite_weight_exit_code(self, toy_file, tmp_path, capsys, flags):
+        code = main(["train", str(toy_file), "--k", "4", "--cv-folds", "2", *flags,
+                     "--out", str(tmp_path / "model.txt")])
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "must be finite" in line
         assert code == 1
 
     def test_negative_model_dimension_exit_code(self, toy_file, tmp_path, capsys):
@@ -360,6 +370,11 @@ class TestCli:
         capsys.readouterr()
 
 
+def library_handlers_only():
+    """Whether the ``pmltk`` logger holds only the library's NullHandler."""
+    return [type(h) for h in logging.getLogger("pmltk").handlers] == [logging.NullHandler]
+
+
 class TestCliWarnings:
     def test_cap_warning_printed_once_per_command(self, toy_file, tmp_path, capsys):
         args = ["train", str(toy_file), "--k", "4", "--lambda2", "10",
@@ -375,8 +390,20 @@ class TestCliWarnings:
         assert main(args) == 0
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("WARNING: fit stopped at outer_max=50")
-        log = logging.getLogger("pmltk")
-        assert sum(isinstance(h, _StderrHandler) for h in log.handlers) == 1
+        assert library_handlers_only()
+
+    def test_library_calls_after_main_stay_silent(self, toy_file, tmp_path, capsys, caplog):
+        # the handler lives only while main runs: a later library call whose
+        # fits stop at their cap logs its warning but prints nothing
+        assert main(["train", str(toy_file), "--k", "4", "--lambda2", "10",
+                     "--out", str(tmp_path / "model.txt")]) == 0
+        assert "WARNING: fit stopped at outer_max" in capsys.readouterr().err
+        assert library_handlers_only()
+        caplog.clear()
+        result = run_benchmark(toy_config(toy_file, splits=1, lambda2=10.0))
+        assert any("fit stopped at outer_max" in r.getMessage() for r in caplog.records)
+        assert capsys.readouterr() == ("", "")
+        assert len(result["per_split"]) == 1
 
     def test_info_stays_silent(self, toy_file, tmp_path, capsys, caplog):
         # let INFO records reach the handlers: the CV table is logged at INFO

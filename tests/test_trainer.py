@@ -1,34 +1,24 @@
-import dataclasses
 import logging
 from collections import Counter
 
 import numpy as np
 import pytest
-from helpers import fix_label_rows, random_dataset, reference_fit, svt_objective
+from helpers import fix_label_rows, random_dataset, reference_fit, svt_objective, trainer_state
 
 from pmltk import trainer
-from pmltk import (
-    ConfigError,
-    NumericError,
-    ShapeError,
-    TrainerConfig,
-    TrainerState,
-    fit,
-    nuclear_norm,
-    objective,
-    predict,
-    prox_nuclear,
-    update_b_admm,
-    update_c,
-    update_w,
-)
+from pmltk import ConfigError, NumericError, ShapeError, TrainerConfig, fit, predict, prox_nuclear
 from pmltk.trainer import (
     Model,
     RidgeSolver,
     load_model,
     load_predictions,
+    nuclear_norm,
+    objective,
     save_model,
     save_predictions,
+    update_b_admm,
+    update_c,
+    update_w,
 )
 
 
@@ -41,21 +31,24 @@ def signed_enrichment(Y, rng):
 def ridge_w(state, X, cfg):
     """Predictor from ``update_w``, after checking the fitted values and
     squared norm it returns against that predictor."""
-    coef, XW, W_norm2 = update_w(state, X, cfg)
-    W = RidgeSolver(X, cfg.lambda2).predictor(coef)
+    solver = RidgeSolver(X, cfg.lambda2)
+    coef, XW, W_norm2 = update_w(state, solver)
+    W = solver.predictor(coef)
     scale = max(1.0, np.abs(state.C).max())
     assert np.abs(XW - X @ W).max() <= 1e-10 * scale
     assert W_norm2 == pytest.approx(float(np.vdot(W, W)), rel=1e-10, abs=1e-10 * scale**2)
     return W
 
 
-def random_state(n, d, l, rng):
-    return TrainerState(
+def random_state(X, l, rng, w_scale=1.0):
+    n, d = X.shape
+    return trainer_state(
+        X,
         C=rng.random((n, l)),
         B=rng.normal(size=(l, l)),
         Bhat=rng.normal(size=(l, l)),
         Theta=rng.normal(size=(l, l)),
-        W=rng.normal(size=(d, l)),
+        W=rng.normal(size=(d, l)) * w_scale,
     )
 
 
@@ -63,26 +56,26 @@ class TestObjective:
     def test_zero_state_is_enrichment_energy(self):
         rng = np.random.default_rng(0)
         Yhat = rng.normal(size=(4, 3))
-        state = TrainerState(
-            C=np.zeros((4, 3)), B=np.zeros((3, 3)), Bhat=np.zeros((3, 3)),
+        state = trainer_state(
+            np.zeros((4, 2)), C=np.zeros((4, 3)), B=np.zeros((3, 3)), Bhat=np.zeros((3, 3)),
             Theta=np.zeros((3, 3)), W=np.zeros((2, 3)),
         )
-        val = objective(state, np.zeros((4, 2)), Yhat, TrainerConfig())
+        val = objective(state, Yhat, TrainerConfig())
         assert val == pytest.approx((Yhat ** 2).sum(), abs=1e-12)
 
     def test_perfect_fit_zero_weights(self):
         X = np.eye(3)
         C = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         B = np.eye(2)
-        state = TrainerState(C=C, B=B, Bhat=B, Theta=np.zeros((2, 2)), W=C)
+        state = trainer_state(X, C=C, B=B, Bhat=B, Theta=np.zeros((2, 2)), W=C)
         cfg = TrainerConfig(lambda1=0.0, lambda2=0.0)
-        assert objective(state, X, C @ B, cfg) == 0.0
+        assert objective(state, C @ B, cfg) == 0.0
 
     def test_scalar_case(self):
         one = np.ones((1, 1))
-        state = TrainerState(C=one, B=one, Bhat=one, Theta=np.zeros((1, 1)), W=one)
+        state = trainer_state(one, C=one, B=one, Bhat=one, Theta=np.zeros((1, 1)), W=one)
         cfg = TrainerConfig(lambda1=1.0, lambda2=1.0)
-        assert objective(state, one, one, cfg) == pytest.approx(2.0, abs=1e-12)
+        assert objective(state, one, cfg) == pytest.approx(2.0, abs=1e-12)
 
 
 class TestUpdateC:
@@ -91,11 +84,11 @@ class TestUpdateC:
         n, d, l = 6, 3, 4
         Y = fix_label_rows((rng.random((n, l)) < 0.5).astype(np.int8), rng)
         Yhat = signed_enrichment(Y, rng)
-        state = TrainerState(
-            C=np.zeros((n, l)), B=np.eye(l), Bhat=np.eye(l),
+        state = trainer_state(
+            rng.normal(size=(n, d)) * 0, C=np.zeros((n, l)), B=np.eye(l), Bhat=np.eye(l),
             Theta=np.zeros((l, l)), W=np.zeros((d, l)),
         )
-        C = update_c(state, rng.normal(size=(n, d)) * 0, Yhat, Y)
+        C = update_c(state, Yhat, Y)
         expect = np.clip(Yhat / 2.0, 0.0, 1.0)
         expect[Y == 0] = 0.0
         assert np.allclose(C, expect, atol=1e-12)
@@ -104,10 +97,9 @@ class TestUpdateC:
         rng = np.random.default_rng(2)
         n, d, l = 10, 4, 5
         Y = fix_label_rows((rng.random((n, l)) < 0.4).astype(np.int8), rng)
-        state = random_state(n, d, l, rng)
         # large W drives unclamped values far outside [0, 1]
-        state.W = state.W * 50
-        C = update_c(state, rng.normal(size=(n, d)), signed_enrichment(Y, rng), Y)
+        state = random_state(rng.normal(size=(n, d)), l, rng, w_scale=50)
+        C = update_c(state, signed_enrichment(Y, rng), Y)
         assert (C >= 0).all() and (C <= 1).all()
         assert (C[Y == 0] == 0).all()
 
@@ -142,8 +134,8 @@ class TestUpdateBAdmm:
         l = 3
         B = rng.normal(size=(l, l))
         Theta = rng.normal(size=(l, l))
-        state = TrainerState(
-            C=np.zeros((4, l)), B=B, Bhat=np.eye(l), Theta=Theta, W=np.zeros((2, l))
+        state = trainer_state(
+            np.zeros((4, 2)), C=np.zeros((4, l)), B=B, Bhat=np.eye(l), Theta=Theta, W=np.zeros((2, l))
         )
         cfg = TrainerConfig(tau=1.0, admm_iters=1, lambda1=1.0)
         Bhat, _, _ = update_b_admm(state, np.zeros((4, l)), cfg)
@@ -154,8 +146,8 @@ class TestUpdateBAdmm:
         l = 3
         C = rng.random((5, l))
         Yhat = C.copy()  # so the auxiliary solve stays near the identity
-        state = TrainerState(
-            C=C, B=np.eye(l), Bhat=np.eye(l), Theta=np.zeros((l, l)),
+        state = trainer_state(
+            np.zeros((5, 2)), C=C, B=np.eye(l), Bhat=np.eye(l), Theta=np.zeros((l, l)),
             W=np.zeros((2, l)),
         )
         # with lambda1=0 the thresholding is the identity, so B==Bhat after
@@ -171,7 +163,7 @@ class TestUpdateBAdmm:
         Yhat = rng.normal(size=(n, l))
         B = rng.normal(size=(l, l))
         Theta = rng.normal(size=(l, l))
-        state = TrainerState(C=C, B=B, Bhat=np.eye(l), Theta=Theta, W=np.zeros((2, l)))
+        state = trainer_state(np.zeros((n, 2)), C=C, B=B, Bhat=np.eye(l), Theta=Theta, W=np.zeros((2, l)))
         cfg = TrainerConfig(tau=1.7, admm_iters=1, lambda1=0.5)
         Bhat, _, _ = update_b_admm(state, Yhat, cfg)
         grad = 2.0 * C.T @ (C @ Bhat - Yhat) + cfg.tau * Bhat - cfg.tau * B - Theta
@@ -182,23 +174,24 @@ class TestUpdateW:
     def test_identity_design_zero_ridge(self):
         rng = np.random.default_rng(8)
         C = rng.random((4, 3))
-        state = TrainerState(C=C, B=np.eye(3), Bhat=np.eye(3),
-                             Theta=np.zeros((3, 3)), W=np.zeros((4, 3)))
+        state = trainer_state(np.eye(4), C=C, B=np.eye(3), Bhat=np.eye(3),
+                              Theta=np.zeros((3, 3)), W=np.zeros((4, 3)))
         W = ridge_w(state, np.eye(4), TrainerConfig(lambda2=0.0))
         assert np.allclose(W, C, atol=1e-12)
 
     def test_scalar_ridge(self):
-        state = TrainerState(
-            C=np.array([[1.0], [0.0]]), B=np.eye(1), Bhat=np.eye(1),
+        X = np.array([[1.0], [1.0]])
+        state = trainer_state(
+            X, C=np.array([[1.0], [0.0]]), B=np.eye(1), Bhat=np.eye(1),
             Theta=np.zeros((1, 1)), W=np.zeros((1, 1)),
         )
-        W = ridge_w(state, np.array([[1.0], [1.0]]), TrainerConfig(lambda2=1.0))
+        W = ridge_w(state, X, TrainerConfig(lambda2=1.0))
         assert W[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_huge_ridge_kills_weights(self):
         rng = np.random.default_rng(9)
-        state = random_state(6, 4, 3, rng)
-        W = ridge_w(state, rng.normal(size=(6, 4)), TrainerConfig(lambda2=1e12))
+        X = rng.normal(size=(6, 4))
+        W = ridge_w(random_state(X, 3, rng), X, TrainerConfig(lambda2=1e12))
         assert np.linalg.norm(W) <= 1e-6
 
     @pytest.mark.parametrize("shape", [(12, 5), (5, 12)])
@@ -209,8 +202,8 @@ class TestUpdateW:
         X = rng.normal(size=(n, d))
         C = rng.random((n, 3))
         lam = 10.0
-        state = TrainerState(C=C, B=np.eye(3), Bhat=np.eye(3),
-                             Theta=np.zeros((3, 3)), W=np.zeros((d, 3)))
+        state = trainer_state(X, C=C, B=np.eye(3), Bhat=np.eye(3),
+                              Theta=np.zeros((3, 3)), W=np.zeros((d, 3)))
         W = ridge_w(state, X, TrainerConfig(lambda2=lam))
         grad = 2.0 * X.T @ (X @ W - C) + 2.0 * lam * W
         assert np.linalg.norm(grad) <= 1e-6 * max(1.0, np.linalg.norm(X.T @ C))
@@ -267,17 +260,18 @@ class TestFit:
         Yhat = signed_enrichment(ds.Y, rng)
         cfg = TrainerConfig(outer_max=4)
         # replay the loop manually, checking the W block each time
-        state = TrainerState(
-            C=np.where(ds.Y == 1, np.maximum(Yhat, 0.0), 0.0),
+        state = trainer_state(
+            ds.X, C=np.where(ds.Y == 1, np.maximum(Yhat, 0.0), 0.0),
             B=np.eye(4), Bhat=np.eye(4), Theta=np.zeros((4, 4)),
             W=np.zeros((5, 4)),
         )
         for _ in range(4):
-            state.C = update_c(state, ds.X, Yhat, ds.Y)
+            state.C = update_c(state, Yhat, ds.Y)
             state.Bhat, state.B, state.Theta = update_b_admm(state, Yhat, cfg)
-            before = objective(state, ds.X, Yhat, cfg)
-            state.W = ridge_w(state, ds.X, cfg)
-            after = objective(state, ds.X, Yhat, cfg)
+            before = objective(state, Yhat, cfg)
+            W = ridge_w(state, ds.X, cfg)
+            state = trainer_state(ds.X, state.C, state.B, state.Bhat, state.Theta, W)
+            after = objective(state, Yhat, cfg)
             assert after <= before + 1e-9
 
     def test_shape_mismatch(self):
@@ -351,8 +345,8 @@ class TestCachedLoop:
         cfg = TrainerConfig(lambda2=lam)
         model, state, trace = fit(X, Yhat, Y, cfg)
         assert model.W.shape == state.W.shape == (d, l)
-        fresh = dataclasses.replace(state, XW=None, W_norm2=None)
-        assert objective(fresh, X, Yhat, cfg) == pytest.approx(trace[-1], rel=1e-10)
+        fresh = trainer_state(X, state.C, state.B, state.Bhat, state.Theta, state.W)
+        assert objective(fresh, Yhat, cfg) == pytest.approx(trace[-1], rel=1e-10)
         scores, _ = predict(model, X)
         assert np.abs(scores - state.XW).max() <= 1e-10 * max(1.0, np.abs(state.C).max())
 
@@ -411,9 +405,13 @@ class TestPredict:
 
 
 class TestConfigValidation:
-    def test_rejects_negative_weights(self):
+    @pytest.mark.parametrize("field,value", [
+        ("lambda1", -1.0),
+        *((f, v) for f in ("lambda1", "lambda2", "tau") for v in (np.nan, np.inf, -np.inf)),
+    ])
+    def test_rejects_negative_weights(self, field, value):
         with pytest.raises(ConfigError):
-            TrainerConfig(lambda1=-1.0)
+            TrainerConfig(**{field: value})
 
     def test_rejects_nonpositive_tau(self):
         with pytest.raises(ConfigError):
