@@ -1,5 +1,8 @@
 """Command-line interface.
 
+Each command builds a ``pipeline.ExperimentConfig`` from its options, so
+a bad setting fails before any file is read. An option that sets a
+config field is declared once, in ``_OPTIONS``, with the field's default.
 Every option can also be set through an environment variable named
 ``PMLTK_<COMMAND>_<OPTION>`` (click's auto-envvar mechanism), e.g.
 ``PMLTK_BENCHMARK_SEED=7``. Exit codes: 0 success, 1 usage or
@@ -10,6 +13,7 @@ printed on stderr.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import sys
 
@@ -17,9 +21,10 @@ import click
 
 from . import data, enrichment, graph, metrics, pipeline, trainer
 from .errors import ConfigError, DataError, NumericError
+from .pipeline import ExperimentConfig
 
-_FORMAT_CHOICE = click.Choice(data.FORMATS)
-_REPORT_CHOICE = click.Choice(("json", "csv"))
+_REPORT_FORMAT = click.option("--format", "report_format", type=click.Choice(("json", "csv")),
+                              default="json")
 
 
 def _parse_grid(ctx, param, text: str) -> tuple[float, ...]:
@@ -30,74 +35,66 @@ def _parse_grid(ctx, param, text: str) -> tuple[float, ...]:
     return values
 
 
-# Options of ``train`` and ``benchmark``, named after the ExperimentConfig
-# fields they set.
-_FIT_OPTIONS = (
-    click.option("--data-format", type=_FORMAT_CHOICE, default=data.SPARSE_FORMAT, show_default=True),
-    click.option("--k", type=int, default=10, show_default=True),
-    click.option("--alpha", type=float, default=0.05, show_default=True),
-    click.option("--lambda1", type=float, default=1.0, show_default=True),
-    click.option("--lambda2", type=float, default=None, help="Fixed ridge weight; skips tuning."),
-    click.option("--lambda2-grid", default="10,100", show_default=True, callback=_parse_grid),
-    click.option("--cv-folds", type=int, default=5, show_default=True),
-    click.option("--tau", type=float, default=1.0, show_default=True),
-    click.option("--admm-iters", type=int, default=5, show_default=True),
-    click.option("--seed", type=int, default=0, show_default=True),
-    click.option("--standardize-features", is_flag=True, default=False),
-    click.option("--add-bias", is_flag=True, default=False),
-)
+# The options that set an ExperimentConfig field are named after the field,
+# take its default and, unless set here, the type click infers from it.
+_OPTIONS = {
+    "data_format": dict(type=click.Choice(data.FORMATS)),
+    "noise": dict(help="Noise percentage a."),
+    "lambda2": dict(type=float, help="Fixed ridge weight; skips tuning."),
+    "lambda2_grid": dict(callback=_parse_grid),
+    "add_bias": dict(help="Append a constant-1 feature; pass it to predict too."),
+}
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+_FIT = ("data_format", "k", "alpha", "lambda1", "lambda2", "lambda2_grid", "cv_folds",
+        "tau", "admm_iters", "seed", "standardize_features", "add_bias")
 
 
-def _fit_options(command):
-    for option in reversed(_FIT_OPTIONS):
-        command = option(command)
-    return command
+def _config_options(*fields):
+    """Declare the options of the named ExperimentConfig fields, in order."""
+    def decorate(command):
+        for name in reversed(fields):
+            default = _DEFAULTS[name]
+            if isinstance(default, tuple):  # the lambda2 grid, as typed
+                default = ",".join(repr(g).removesuffix(".0") for g in default)
+            command = click.option("--" + name.replace("_", "-"), default=default,
+                                   is_flag=isinstance(default, bool),
+                                   **_OPTIONS.get(name, {}))(command)
+        return command
+    return decorate
 
 
 def _write_report(path, text: str) -> None:
     data.write_lines(path, "report", text.splitlines())
 
 
-def _prepared(path, data_format, standardize_features, add_bias):
-    ds = data.load(path, data_format)
-    if standardize_features:
-        ds = pipeline.standardize(ds)
-    if add_bias:
-        ds = pipeline.add_bias_column(ds)
-    return ds
-
-
-@click.group(context_settings={"auto_envvar_prefix": "PMLTK"})
+@click.group(context_settings={"auto_envvar_prefix": "PMLTK", "show_default": True})
 def cli():
     """Partial multi-label learning toolkit."""
 
 
 @cli.command("inject-noise")
 @click.argument("dataset", type=click.Path())
-@click.option("--data-format", type=_FORMAT_CHOICE, default=data.SPARSE_FORMAT, show_default=True)
-@click.option("--noise", type=int, default=100, show_default=True, help="Noise percentage a.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@_config_options("data_format", "noise", "seed")
 @click.option("--out", required=True, type=click.Path(), help="Output dataset path.")
-def inject_noise_cmd(dataset, data_format, noise, seed, out):
+def inject_noise_cmd(dataset, out, **options):
     """Corrupt ground-truth labels into candidate sets."""
-    ds = data.load(dataset, data_format)
-    noisy = data.inject_noise(ds, data.NoiseConfig(a=noise, seed=seed))
-    data.save(noisy, out, data_format)
-    click.echo(f"wrote {out} (n={noisy.n}, d={noisy.d}, l={noisy.l}, a={noise})")
+    cfg = ExperimentConfig(dataset=dataset, **options)
+    ds = data.load(cfg.dataset, cfg.data_format)
+    noisy = data.inject_noise(ds, data.NoiseConfig(a=cfg.noise, seed=cfg.seed))
+    data.save(noisy, out, cfg.data_format)
+    click.echo(f"wrote {out} (n={noisy.n}, d={noisy.d}, l={noisy.l}, a={cfg.noise})")
 
 
 @cli.command("enrich")
 @click.argument("dataset", type=click.Path())
-@click.option("--data-format", type=_FORMAT_CHOICE, default=data.SPARSE_FORMAT, show_default=True)
-@click.option("--k", type=int, default=10, show_default=True)
-@click.option("--alpha", type=float, default=0.05, show_default=True)
-@click.option("--standardize-features", is_flag=True, default=False)
+@_config_options("data_format", "k", "alpha", "standardize_features")
 @click.option("--out", required=True, type=click.Path(), help="Enrichment CSV path.")
-def enrich_cmd(dataset, data_format, k, alpha, standardize_features, out):
+def enrich_cmd(dataset, out, **options):
     """Stage 1: compute the signed enrichment matrix."""
-    ds = _prepared(dataset, data_format, standardize_features, False)
-    g = graph.build_graph(ds.X, graph.KnnConfig(k=k))
-    em = enrichment.enrich(ds, g, enrichment.PropagationConfig(alpha=alpha))
+    cfg = ExperimentConfig(dataset=dataset, **options)
+    [ds] = pipeline.transform_features(cfg, data.load(cfg.dataset, cfg.data_format))
+    g = graph.build_graph(ds.X, cfg.knn_config())
+    em = enrichment.enrich(ds, g, cfg.propagation_config())
     enrichment.save_enrichment(em, out)
     click.echo(f"wrote {out} ({em.n} x {em.l})")
 
@@ -106,14 +103,14 @@ def enrich_cmd(dataset, data_format, k, alpha, standardize_features, out):
 @click.argument("dataset", type=click.Path())
 @click.option("--enrichment", "enrichment_path", type=click.Path(), default=None,
               help="Precomputed enrichment CSV; skips stage 1.")
-@_fit_options
+@_config_options(*_FIT)
 @click.option("--out", required=True, type=click.Path(), help="Model output path.")
 @click.option("--trace-out", type=click.Path(), default=None,
               help="Optional objective trace CSV ('iter,objective').")
 def train_cmd(dataset, enrichment_path, out, trace_out, **options):
     """Stages 1 and 2: enrich (unless given) and fit the predictor."""
-    cfg = pipeline.ExperimentConfig(dataset=dataset, **options)
-    ds = _prepared(dataset, cfg.data_format, cfg.standardize_features, cfg.add_bias)
+    cfg = ExperimentConfig(dataset=dataset, **options)
+    [ds] = pipeline.transform_features(cfg, data.load(cfg.dataset, cfg.data_format))
     em = None if enrichment_path is None else enrichment.load_enrichment(enrichment_path)
     model, trace, lambda2 = pipeline.fit_pipeline(ds, cfg, 0, em)
     if cfg.lambda2 is None:
@@ -128,14 +125,13 @@ def train_cmd(dataset, enrichment_path, out, trace_out, **options):
 @cli.command("predict")
 @click.argument("model", type=click.Path())
 @click.argument("dataset", type=click.Path())
-@click.option("--data-format", type=_FORMAT_CHOICE, default=data.SPARSE_FORMAT, show_default=True)
-@click.option("--add-bias", is_flag=True, default=False,
-              help="Append the constant feature used at training time.")
+@_config_options("data_format", "add_bias")
 @click.option("--out", required=True, type=click.Path(), help="Predictions output path.")
-def predict_cmd(model, dataset, data_format, add_bias, out):
+def predict_cmd(model, dataset, out, **options):
     """Score a dataset with a trained model."""
+    cfg = ExperimentConfig(dataset=dataset, **options)
     mdl = trainer.load_model(model)
-    ds = _prepared(dataset, data_format, False, add_bias)
+    [ds] = pipeline.transform_features(cfg, data.load(cfg.dataset, cfg.data_format))
     scores, labels = trainer.predict(mdl, ds.X)
     trainer.save_predictions(scores, labels, out)
     click.echo(f"wrote {out} ({scores.shape[0]} x {scores.shape[1]})")
@@ -144,8 +140,8 @@ def predict_cmd(model, dataset, data_format, add_bias, out):
 @cli.command("evaluate")
 @click.argument("predictions", type=click.Path())
 @click.argument("dataset", type=click.Path())
-@click.option("--data-format", type=_FORMAT_CHOICE, default=data.SPARSE_FORMAT, show_default=True)
-@click.option("--format", "report_format", type=_REPORT_CHOICE, default="json", show_default=True)
+@_config_options("data_format")
+@_REPORT_FORMAT
 @click.option("--out", type=click.Path(), default=None, help="Report path (default: stdout).")
 def evaluate_cmd(predictions, dataset, data_format, report_format, out):
     """Score stored predictions against the dataset's ground truth."""
@@ -166,15 +162,12 @@ def evaluate_cmd(predictions, dataset, data_format, report_format, out):
 
 @cli.command("benchmark")
 @click.argument("dataset", type=click.Path())
-@click.option("--noise", type=int, default=100, show_default=True)
-@click.option("--splits", type=int, default=5, show_default=True)
-@click.option("--split-fraction", type=float, default=0.5, show_default=True)
-@_fit_options
-@click.option("--format", "report_format", type=_REPORT_CHOICE, default="json", show_default=True)
+@_config_options("noise", "splits", "split_fraction", *_FIT)
+@_REPORT_FORMAT
 @click.option("--out", type=click.Path(), default=None, help="Report file path.")
 def benchmark_cmd(dataset, report_format, out, **options):
     """Run the repeated-split protocol and aggregate the metrics."""
-    result = pipeline.run_benchmark(pipeline.ExperimentConfig(dataset=dataset, **options))
+    result = pipeline.run_benchmark(ExperimentConfig(dataset=dataset, **options))
     reports = [metrics.MetricsReport.from_dict(r) for r in result["per_split"]]
     if out:
         to_text = metrics.reports_to_json if report_format == "json" else metrics.reports_to_csv

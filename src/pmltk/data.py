@@ -11,6 +11,12 @@ start with a ``#n d l`` header line:
 * ``dense-csv``: ``x1,...,xd;y1,...,yl`` per line with binary labels,
   optionally followed by a third ``;t1,...,tl`` ground-truth block.
 
+``load`` reads either format in one loop over the rows, with one row
+parser per format; either every row carries a ground-truth block or
+none does. A bad row raises an error that names its line of the file.
+``_as_binary`` is the one 0/1 check on label matrices: datasets, the
+metrics and the prediction reader all go through it.
+
 Floats are serialized with ``repr`` so save followed by load restores
 every matrix bit-exactly. The enrichment, model and prediction files
 share the ``#header`` + rows layout: ``read_table`` reads all of them
@@ -43,13 +49,18 @@ DENSE_FORMAT = "dense-csv"
 FORMATS = (SPARSE_FORMAT, DENSE_FORMAT)
 
 
-def _as_binary(M, name):
+def _as_binary(M, name, lines=None):
+    """``M`` as an int8 0/1 matrix. A non-binary entry raises
+    ``ValidationError`` naming its row, or its file line when ``lines``
+    maps rows to lines."""
     M = np.asarray(M)
     if M.ndim != 2:
         raise ValidationError(f"{name} must be a 2-d matrix, got ndim={M.ndim}")
-    vals = np.unique(M)
-    if not np.isin(vals, (0, 1)).all():
-        raise ValidationError(f"{name} must be binary (0/1 entries)")
+    bad = (M != 0) & (M != 1)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        where = f"row {i}" if lines is None else f"line {lines[i]}"
+        raise ValidationError(f"{where}: {name} must be binary (0/1 entries), got {M[i, j]}")
     return M.astype(np.int8)
 
 
@@ -240,78 +251,44 @@ def _parse_label_list(text: str, l: int, lineno: int, what: str) -> list[int]:
     return out
 
 
-def _parse_sparse_body(lines, n, d, l):
-    X = np.zeros((n, d), dtype=np.float64)
-    Y = np.zeros((n, l), dtype=np.int8)
-    T = np.zeros((n, l), dtype=np.int8)
-    has_truth = None
-    for i, (lineno, line) in enumerate(lines):
-        parts = line.split()
-        block = parts[0]
-        if "|" in block:
-            cand_txt, truth_txt = block.split("|", 1)
-            with_truth = True
-        else:
-            cand_txt, truth_txt = block, None
-            with_truth = False
-        if has_truth is None:
-            has_truth = with_truth
-        elif has_truth != with_truth:
-            raise ParseError(
-                "mixed label blocks: some lines carry '|truth' and some do not",
-                line=lineno,
-            )
-        Y[i, _parse_label_list(cand_txt, l, lineno, "candidate")] = 1
-        if with_truth:
-            T[i, _parse_label_list(truth_txt, l, lineno, "ground-truth")] = 1
-        for pair in parts[1:]:
-            f, sep, v = pair.partition(":")
-            if not sep:
-                raise ParseError(f"bad feature pair {pair!r}", line=lineno)
-            try:
-                fi = int(f)
-                fv = float(v)
-            except ValueError:
-                raise ParseError(f"bad feature pair {pair!r}", line=lineno) from None
-            if not 0 <= fi < d:
-                raise RangeError(f"feature index {fi} out of range [0,{d})", line=lineno)
-            X[i, fi] = fv
-    return X, Y, (T if has_truth else None)
+def _sparse_row(line, lineno, x, y, t) -> bool:
+    """Fill one instance's rows from ``L_cand[|L_truth] f:v ...``; returns
+    whether the line carries a truth block."""
+    labels, *pairs = line.split()
+    cand_txt, with_truth, truth_txt = labels.partition("|")
+    y[_parse_label_list(cand_txt, len(y), lineno, "candidate")] = 1
+    if with_truth:
+        t[_parse_label_list(truth_txt, len(t), lineno, "ground-truth")] = 1
+    for pair in pairs:
+        f, _, v = pair.partition(":")
+        try:
+            fi, fv = int(f), float(v)  # a pair without ':' leaves v empty
+        except ValueError:
+            raise ParseError(f"bad feature pair {pair!r}", line=lineno) from None
+        if not 0 <= fi < len(x):
+            raise RangeError(f"feature index {fi} out of range [0,{len(x)})", line=lineno)
+        x[fi] = fv
+    return bool(with_truth)
 
 
-def _parse_dense_body(lines, n, d, l):
-    X = np.zeros((n, d), dtype=np.float64)
-    Y = np.zeros((n, l), dtype=np.int8)
-    T = np.zeros((n, l), dtype=np.int8)
-    has_truth = None
-    for i, (lineno, line) in enumerate(lines):
-        blocks = line.split(";")
-        if len(blocks) not in (2, 3):
-            raise ParseError(
-                f"expected 2 or 3 ';'-separated blocks, got {len(blocks)}", line=lineno
-            )
-        with_truth = len(blocks) == 3
-        if has_truth is None:
-            has_truth = with_truth
-        elif has_truth != with_truth:
-            raise ParseError(
-                "mixed rows: some carry a ground-truth block and some do not",
-                line=lineno,
-            )
-        X[i] = parse_float_row(blocks[0], d, lineno, "feature")
-        for target, text, what in ((Y, blocks[1], "candidate"),) + (
-            ((T, blocks[2], "ground-truth"),) if with_truth else ()
-        ):
-            row = parse_float_row(text, l, lineno, what + " label")
-            for j, v in enumerate(row):
-                if v not in (0.0, 1.0):
-                    raise ParseError(
-                        f"{what} labels must be 0 or 1, got {v}", line=lineno
-                    )
-                target[i, j] = int(v)
-        if Y[i].sum() == 0:
-            raise ValidationError(f"line {lineno}: empty candidate label set")
-    return X, Y, (T if has_truth else None)
+def _dense_row(line, lineno, x, y, t) -> bool:
+    """Fill one instance's rows from ``x1,...;y1,...[;t1,...]``; returns
+    whether the line carries a truth block."""
+    blocks = line.split(";")
+    if len(blocks) not in (2, 3):
+        raise ParseError(
+            f"expected 2 or 3 ';'-separated blocks, got {len(blocks)}", line=lineno
+        )
+    x[:] = parse_float_row(blocks[0], len(x), lineno, "feature")
+    for target, text, what in zip((y, t), blocks[1:], ("candidate", "ground-truth")):
+        row = np.array(parse_float_row(text, len(target), lineno, what + " label"))
+        bad = (row != 0) & (row != 1)
+        if bad.any():
+            raise ParseError(f"{what} labels must be 0 or 1, got {row[bad][0]}", line=lineno)
+        target[:] = row
+    if not y.any():
+        raise ValidationError(f"line {lineno}: empty candidate label set")
+    return len(blocks) == 3
 
 
 def load(path, format: str = SPARSE_FORMAT) -> Dataset:
@@ -320,16 +297,24 @@ def load(path, format: str = SPARSE_FORMAT) -> Dataset:
     Plain files (single label block) come back in the noise-free state:
     ``Ytruth`` holds the parsed labels and ``Y`` equals it. Files with a
     second label block populate ``Y`` from the candidates and ``Ytruth``
-    from the truth block.
+    from the truth block; every row must then carry one.
     """
     if format not in FORMATS:
         raise ConfigError(f"unknown dataset format {format!r}; expected one of {FORMATS}")
     (n, d, l), rows = read_table(path, "dataset", "n d l")
-    parser = _parse_sparse_body if format == SPARSE_FORMAT else _parse_dense_body
-    X, Y, T = parser(rows, n, d, l)
-    if T is None:
-        T = Y.copy()
-    return Dataset(X, Y, T)
+    parse_row = _sparse_row if format == SPARSE_FORMAT else _dense_row
+    X = np.zeros((n, d), dtype=np.float64)
+    Y = np.zeros((n, l), dtype=np.int8)
+    T = np.zeros((n, l), dtype=np.int8)
+    for i, (lineno, line) in enumerate(rows):
+        with_truth = parse_row(line, lineno, X[i], Y[i], T[i])
+        if i == 0:
+            has_truth = with_truth
+        elif with_truth != has_truth:
+            raise ParseError(
+                "mixed rows: some carry a ground-truth block and some do not", line=lineno
+            )
+    return Dataset(X, Y, T if has_truth else Y.copy())
 
 
 def save(ds: Dataset, path, format: str = SPARSE_FORMAT) -> None:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .data import _as_binary
 from .errors import ShapeError, ValidationError
 
 METRIC_NAMES = (
@@ -51,13 +52,6 @@ class MetricsReport:
         return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
-def _check_binary(M, name):
-    M = np.asarray(M)
-    if not np.isin(np.unique(M), (0, 1)).all():
-        raise ValidationError(f"{name} must be binary")
-    return M.astype(np.int8)
-
-
 def evaluate(scores, labels, truth) -> MetricsReport:
     """Score predictions against ground truth.
 
@@ -65,8 +59,8 @@ def evaluate(scores, labels, truth) -> MetricsReport:
     ``truth`` the ground-truth matrix, all m x l.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    labels = _check_binary(labels, "labels")
-    truth = _check_binary(truth, "truth")
+    labels = _as_binary(labels, "labels")
+    truth = _as_binary(truth, "truth")
     if scores.ndim != 2 or scores.shape != labels.shape or scores.shape != truth.shape:
         raise ShapeError(
             f"shape mismatch: scores{scores.shape}, labels{labels.shape}, truth{truth.shape}"

@@ -49,22 +49,24 @@ _STAGE_CV = 2
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a benchmark run or a ``train`` command needs, defaults
-    matching the usual protocol."""
+    """Everything a benchmark run or a CLI command needs. The stage
+    settings default to the stage configs' defaults, and every stage
+    config is built once here, so a bad value fails before a file is
+    read."""
 
     dataset: str
     data_format: str = SPARSE_FORMAT
     noise: int = 100
     splits: int = 5
-    split_fraction: float = 0.5
-    k: int = 10
-    alpha: float = 0.05
-    lambda1: float = 1.0
+    split_fraction: float = SplitSpec.train_fraction
+    k: int = KnnConfig.k
+    alpha: float = PropagationConfig.alpha
+    lambda1: float = TrainerConfig.lambda1
     lambda2: float | None = None
     lambda2_grid: tuple[float, ...] = (10.0, 100.0)
     cv_folds: int = 5
-    tau: float = 1.0
-    admm_iters: int = 5
+    tau: float = TrainerConfig.tau
+    admm_iters: int = TrainerConfig.admm_iters
     seed: int = 0
     standardize_features: bool = False
     add_bias: bool = False
@@ -72,16 +74,19 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.data_format not in FORMATS:
             raise ConfigError(f"unknown dataset format {self.data_format!r}")
-        if self.noise < 0:
-            raise ConfigError(f"noise percentage must be >= 0, got {self.noise}")
         if self.splits < 1:
             raise ConfigError(f"split count must be >= 1, got {self.splits}")
-        if not 0.0 < self.split_fraction < 1.0:
-            raise ConfigError(f"split fraction must lie in (0,1), got {self.split_fraction}")
         if not self.lambda2_grid:
             raise ConfigError("lambda2 grid must be non-empty")
         if self.cv_folds < 2:
             raise ConfigError(f"cv_folds must be >= 2, got {self.cv_folds}")
+        NoiseConfig(self.noise)
+        SplitSpec(self.split_fraction)
+        self.knn_config()
+        self.propagation_config()
+        fixed = () if self.lambda2 is None else (self.lambda2,)
+        for lam in (*self.lambda2_grid, *fixed):
+            self.trainer_config(lam)
 
     def knn_config(self) -> KnnConfig:
         return KnnConfig(k=self.k)
@@ -90,12 +95,8 @@ class ExperimentConfig:
         return PropagationConfig(alpha=self.alpha)
 
     def trainer_config(self, lambda2: float) -> TrainerConfig:
-        return TrainerConfig(
-            lambda1=self.lambda1,
-            lambda2=lambda2,
-            tau=self.tau,
-            admm_iters=self.admm_iters,
-        )
+        return TrainerConfig(lambda1=self.lambda1, lambda2=lambda2, tau=self.tau,
+                             admm_iters=self.admm_iters)
 
 
 def derive_seed(master: int, *path: int) -> int:
@@ -104,29 +105,22 @@ def derive_seed(master: int, *path: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def standardize(train: Dataset, test: Dataset | None = None):
-    """Z-score features on train statistics; constant columns pass through."""
-    mu = train.X.mean(axis=0)
-    sigma = train.X.std(axis=0)
-    sigma = np.where(sigma < 1e-12, 1.0, sigma)
-
-    def apply(ds):
-        return Dataset((ds.X - mu) / sigma, ds.Y, ds.Ytruth)
-
-    return apply(train) if test is None else (apply(train), apply(test))
-
-
-def add_bias_column(ds: Dataset) -> Dataset:
-    ones = np.ones((ds.n, 1))
-    return Dataset(np.hstack([ds.X, ones]), ds.Y, ds.Ytruth)
-
-
-def _transform(train: Dataset, test: Dataset, cfg: ExperimentConfig):
+def transform_features(cfg: ExperimentConfig, train: Dataset, *others: Dataset) -> list[Dataset]:
+    """``train`` and ``others`` with the feature transform ``cfg`` asks for,
+    fitted on ``train`` alone: z-scores on the training mean and std
+    (constant columns are centred, not scaled), then a constant-1 column
+    appended last. Without either setting the sets come back as given."""
     if cfg.standardize_features:
-        train, test = standardize(train, test)
-    if cfg.add_bias:
-        train, test = add_bias_column(train), add_bias_column(test)
-    return train, test
+        mu = train.X.mean(axis=0)
+        sigma = train.X.std(axis=0)
+        sigma = np.where(sigma < 1e-12, 1.0, sigma)
+    out = []
+    for ds in (train, *others):
+        X = (ds.X - mu) / sigma if cfg.standardize_features else ds.X
+        if cfg.add_bias:
+            X = np.hstack([X, np.ones((ds.n, 1))])
+        out.append(ds if X is ds.X else Dataset(X, ds.Y, ds.Ytruth))
+    return out
 
 
 def _fold_indices(n: int, folds: int, seed: int) -> list[np.ndarray]:
@@ -241,7 +235,7 @@ def run_benchmark(cfg: ExperimentConfig) -> dict:
         try:
             with _stage("split"):
                 spec = SplitSpec(cfg.split_fraction, derive_seed(cfg.seed, _STAGE_SPLIT, i))
-                train, test = _transform(*split(noisy, spec), cfg)
+                train, test = transform_features(cfg, *split(noisy, spec))
             model, _, lam2 = fit_pipeline(train, cfg, i)
             with _stage("evaluation"):
                 if test.Ytruth is None:

@@ -31,14 +31,8 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from ._blas import single_threaded
-from .data import csv_rows, parse_float_row, read_table, write_lines
-from .errors import (
-    ConfigError,
-    NumericError,
-    ParseError,
-    ShapeError,
-    ValidationError,
-)
+from .data import _as_binary, csv_rows, parse_float_row, read_table, write_lines
+from .errors import ConfigError, NumericError, ParseError, ShapeError
 
 _log = logging.getLogger(__name__)
 
@@ -340,7 +334,7 @@ def save_predictions(scores, labels, path) -> None:
 def load_predictions(path):
     (m, l), rows = read_table(path, "predictions", "m l")
     scores = np.empty((m, l), dtype=np.float64)
-    labels = np.empty((m, l), dtype=np.int8)
+    labels = np.empty((m, l), dtype=np.int64)
     for i, (lineno, line) in enumerate(rows):
         sblock, sep, lblock = line.partition(";")
         if not sep:
@@ -353,6 +347,4 @@ def load_predictions(path):
             labels[i] = [int(t) for t in ltoks]
         except ValueError as exc:
             raise ParseError(f"bad label value: {exc}", line=lineno) from None
-    if not np.isin(labels, (0, 1)).all():
-        raise ValidationError("prediction labels must be binary")
-    return scores, labels
+    return scores, _as_binary(labels, "prediction labels", [lineno for lineno, _ in rows])

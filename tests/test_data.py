@@ -114,6 +114,31 @@ class TestLoad:
         with pytest.raises(ConfigError):
             load(p, "arff")
 
+    @pytest.mark.parametrize("fmt, text, error", [
+        ("sparse-multilabel", "#2 3 4\n\n0|0 0:1.0\n1 1:1.0\n", ParseError),
+        ("sparse-multilabel", "#2 3 4\n\n0 0:1.0\n1|1 1:1.0\n", ParseError),
+        ("dense-csv", "#2 2 2\n\n0.1,0.2;1,0;1,0\n0.3,0.4;0,1\n", ParseError),
+        ("dense-csv", "#2 2 2\n\n0.1,0.2;1,0\n0.3,0.4;0,1;0,1\n", ParseError),
+        ("dense-csv", "#2 2 2\n\n0.1,0.2;1,0\n0.3,0.4\n", ParseError),
+        ("dense-csv", "#2 2 2\n\n0.1,0.2;1,0\n0.3,0.4;0,1;0,1;0,1\n", ParseError),
+        ("dense-csv", "#2 2 2\n\n0.1,0.2;1,0\n0.3,0.4;0.5,1\n", ParseError),
+        ("dense-csv", "#2 2 2\n\n0.1,0.2;1,0;1,0\n0.3,0.4;0,1;nan,1\n", ParseError),
+        ("dense-csv", "#2 2 2\n\n0.1,0.2;1,0\n0.3,0.4;0,0\n", ValidationError),
+        ("sparse-multilabel", "#2 3 4\n\n0 0:1.0\n1 2-1.0\n", ParseError),
+        ("sparse-multilabel", "#2 3 4\n\n0 0:1.0\n1 2:x\n", ParseError),
+    ], ids=[
+        "sparse-mixed-truth", "sparse-mixed-no-truth", "dense-mixed-truth",
+        "dense-mixed-no-truth", "dense-one-block", "dense-four-blocks",
+        "dense-non-binary-label", "dense-non-binary-truth", "dense-empty-candidates",
+        "sparse-pair-without-colon", "sparse-bad-feature-value",
+    ])
+    def test_bad_row_names_file_line(self, tmp_path, fmt, text, error):
+        # the bad row sits on line 4 of the file, after a blank line
+        with pytest.raises(error) as exc:
+            load(write(tmp_path, text), fmt)
+        assert type(exc.value) is error
+        assert str(exc.value).startswith("line 4: ")
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("fmt", ["sparse-multilabel", "dense-csv"])
@@ -263,6 +288,19 @@ class TestTextFiles:
         with pytest.raises(ParseError) as exc:
             reader(write(tmp_path, text))
         assert exc.value.line == 1
+
+    @pytest.mark.parametrize("text, error", [
+        ("#2 2\n\n0.1,0.2;1,0\n0.3,0.4\n", ParseError),
+        ("#2 2\n\n0.1,0.2;1,0\n0.3,0.4;1\n", ParseError),
+        ("#2 2\n\n0.1,0.2;1,0\n0.3,0.4;1,0,1\n", ParseError),
+        ("#2 2\n\n0.1,0.2;1,0\n0.3,0.4;2,0\n", ValidationError),
+        ("#2 2\n\n0.1,0.2;1,0\n0.3,0.4;0,-1\n", ValidationError),
+    ], ids=["no-separator", "too-few-labels", "too-many-labels", "label-2", "label-minus-1"])
+    def test_bad_prediction_row_names_file_line(self, tmp_path, text, error):
+        with pytest.raises(error) as exc:
+            load_predictions(write(tmp_path, text))
+        assert type(exc.value) is error
+        assert str(exc.value).startswith("line 4: ")
 
     def test_unreadable_file_names_kind_and_path(self, tmp_path):
         p = tmp_path / "model.txt"

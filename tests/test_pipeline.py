@@ -30,8 +30,8 @@ from pmltk import (
 from pmltk.cli import main
 from pmltk.data import save
 from pmltk.metrics import METRIC_NAMES
-from pmltk.pipeline import _fold_indices, _stage, derive_seed
-from pmltk.trainer import save_model
+from pmltk.pipeline import _fold_indices, _stage, derive_seed, transform_features
+from pmltk.trainer import load_model, load_predictions, save_model
 
 
 @pytest.fixture()
@@ -247,6 +247,90 @@ class TestConfigValidation:
     def test_bad_splits(self, toy_file):
         with pytest.raises(ConfigError):
             ExperimentConfig(dataset=str(toy_file), splits=0)
+
+    @pytest.mark.parametrize("over", [
+        dict(lambda2=float("nan")), dict(lambda2_grid=(float("nan"), 10.0)),
+        dict(lambda2=10.0, lambda2_grid=(-1.0,)), dict(lambda1=-1.0), dict(tau=0.0),
+        dict(admm_iters=0), dict(k=0), dict(alpha=2.0), dict(noise=-1),
+        dict(split_fraction=1.0),
+    ], ids=lambda over: ",".join(f"{k}={v}" for k, v in over.items()))
+    def test_stage_settings_checked_at_construction(self, over):
+        # the file does not exist: the check comes before it would be read
+        with pytest.raises(ConfigError):
+            ExperimentConfig(dataset="no-such-file.sml", **over)
+
+    @pytest.mark.parametrize("command", ["train", "benchmark"])
+    def test_bad_weight_fails_before_any_graph(self, toy_file, tmp_path, capsys, monkeypatch,
+                                               command):
+        graphs = []
+
+        def spy(*args, **kwargs):
+            graphs.append(args)
+            return build_graph(*args, **kwargs)
+
+        monkeypatch.setattr(pmltk.pipeline, "build_graph", spy)
+        monkeypatch.setattr(pmltk.graph, "build_graph", spy)
+        argv = [command, str(toy_file), "--k", "4", "--cv-folds", "2", "--lambda2", "nan"]
+        if command == "train":
+            argv += ["--out", str(tmp_path / "model.txt")]
+        assert main(argv) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: lambda1, lambda2 and tau must be finite")
+        assert graphs == []
+
+
+class TestFeatureTransform:
+    def test_test_set_uses_training_statistics(self):
+        train = random_dataset(n=20, d=4, l=3, seed=1)
+        test = random_dataset(n=7, d=4, l=3, seed=2)
+        out_train, out_test = transform_features(
+            toy_config("", standardize_features=True), train, test
+        )
+        mu, sd = train.X.mean(axis=0), train.X.std(axis=0)
+        assert out_test.X.tobytes() == ((test.X - mu) / sd).tobytes()
+        assert out_train.X.tobytes() == ((train.X - mu) / sd).tobytes()
+        assert (out_test.Y == test.Y).all() and (out_test.Ytruth == test.Ytruth).all()
+
+    def test_constant_column_and_bias_last(self):
+        ds = random_dataset(n=12, d=3, l=3, seed=4)
+        X = ds.X.copy()
+        X[:, 1] = 3.0
+        ds = pmltk.Dataset(X, ds.Y, ds.Ytruth)
+        [out] = transform_features(toy_config("", standardize_features=True, add_bias=True), ds)
+        assert out.X.shape == (12, 4)
+        assert (out.X[:, -1] == 1.0).all()
+        assert (out.X[:, 1] == 0.0).all()  # centred, not scaled
+        np.testing.assert_allclose(out.X[:, [0, 2]].std(axis=0), 1.0)
+        [bias_only] = transform_features(toy_config("", add_bias=True), ds)
+        assert bias_only.X.tobytes() == np.hstack([X, np.ones((12, 1))]).tobytes()
+
+    def test_no_transform_passes_sets_through(self):
+        train, test = random_dataset(seed=1), random_dataset(seed=2)
+        out = transform_features(toy_config(""), train, test)
+        assert len(out) == 2 and out[0] is train and out[1] is test
+
+    def test_benchmark_with_transform_is_deterministic(self, toy_file):
+        cfg = toy_config(toy_file, splits=1, standardize_features=True, add_bias=True)
+        assert run_benchmark(cfg) == run_benchmark(cfg)
+
+    def test_train_then_predict_with_transform(self, toy_file, tmp_path, capsys):
+        model, preds = tmp_path / "model.txt", tmp_path / "preds.csv"
+        assert main(["train", str(toy_file), "--k", "4", "--lambda2", "10",
+                     "--standardize-features", "--add-bias", "--out", str(model)]) == 0
+        assert main(["predict", str(model), str(toy_file), "--add-bias",
+                     "--out", str(preds)]) == 0
+        capsys.readouterr()
+        raw = load(toy_file)
+        W = load_model(model).W
+        assert W.shape == (raw.d + 1, raw.l)
+        scores, labels = load_predictions(preds)
+        assert scores.shape == labels.shape == (raw.n, raw.l)
+        # the graph and the fit both see the transformed features
+        [ds] = transform_features(toy_config(toy_file, standardize_features=True, add_bias=True),
+                                  raw)
+        em = enrich(ds, build_graph(ds.X, KnnConfig(k=4)), PropagationConfig())
+        ref, _, _ = fit(ds.X, em.Yhat, ds.Y, TrainerConfig(lambda2=10.0))
+        assert W.tobytes() == ref.W.tobytes()
 
 
 class TestCli:
