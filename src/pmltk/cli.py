@@ -19,7 +19,7 @@ import sys
 
 import click
 
-from . import data, enrichment, graph, metrics, pipeline, trainer
+from . import data, enrichment, metrics, pipeline, trainer
 from .errors import ConfigError, DataError, NumericError
 from .pipeline import ExperimentConfig
 
@@ -93,8 +93,7 @@ def enrich_cmd(dataset, out, **options):
     """Stage 1: compute the signed enrichment matrix."""
     cfg = ExperimentConfig(dataset=dataset, **options)
     [ds] = pipeline.transform_features(cfg, data.load(cfg.dataset, cfg.data_format))
-    g = graph.build_graph(ds.X, cfg.knn_config())
-    em = enrichment.enrich(ds, g, cfg.propagation_config())
+    em = pipeline.enrich_dataset(ds, cfg)
     enrichment.save_enrichment(em, out)
     click.echo(f"wrote {out} ({em.n} x {em.l})")
 

@@ -129,8 +129,8 @@ class Dataset:
     def subset(self, indices) -> "Dataset":
         """Row subset as a new Dataset; indices keep the given order."""
         idx = np.asarray(indices, dtype=np.intp)
-        Yt = None if self.Ytruth is None else self.Ytruth[idx].copy()
-        return Dataset(self.X[idx].copy(), self.Y[idx].copy(), Yt)
+        Yt = None if self.Ytruth is None else self.Ytruth[idx]
+        return Dataset(self.X[idx], self.Y[idx], Yt)
 
 
 @dataclass(frozen=True)

@@ -74,10 +74,6 @@ class WeightGraph:
     def n(self) -> int:
         return self.neighbors.shape[0]
 
-    @property
-    def k(self) -> int:
-        return self.neighbors.shape[1]
-
     def matrix(self) -> sparse.csr_matrix:
         """The n x n weight matrix in CSR form (row-sparse, k entries per row)."""
         n, k = self.neighbors.shape

@@ -120,8 +120,9 @@ def evaluate(scores, labels, truth) -> MetricsReport:
     )
 
 
-def aggregate(reports) -> dict[str, tuple[float, float]]:
-    """Per-metric sample mean and (n-1)-normalized standard deviation.
+def aggregate(reports, names=METRIC_NAMES) -> dict[str, tuple[float, float]]:
+    """Sample mean and (n-1)-normalized standard deviation of each named
+    report field.
 
     A single report aggregates to std 0.
     """
@@ -129,7 +130,7 @@ def aggregate(reports) -> dict[str, tuple[float, float]]:
     if not reports:
         raise ValidationError("cannot aggregate zero reports")
     out = {}
-    for name in METRIC_NAMES:
+    for name in names:
         vals = np.array([getattr(r, name) for r in reports], dtype=np.float64)
         std = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
         out[name] = (float(vals.mean()), std)
@@ -155,20 +156,14 @@ def reports_to_json(reports) -> str:
 def reports_to_csv(reports) -> str:
     """CSV with one row per split and a mean/std footer."""
     reports = list(reports)
-    agg = aggregate(reports)
-    skipped = np.array([r.skipped_instances for r in reports], dtype=np.float64)
+    names = METRIC_NAMES + ("skipped_instances",)
+    agg = aggregate(reports, names)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("split",) + METRIC_NAMES + ("skipped_instances",))
+    writer.writerow(("split",) + names)
     for i, r in enumerate(reports):
-        writer.writerow(
-            [i] + [repr(getattr(r, name)) for name in METRIC_NAMES] + [r.skipped_instances]
-        )
-    writer.writerow(
-        ["mean"] + [repr(agg[name][0]) for name in METRIC_NAMES] + [repr(float(skipped.mean()))]
-    )
-    skipped_std = float(skipped.std(ddof=1)) if skipped.size > 1 else 0.0
-    writer.writerow(
-        ["std"] + [repr(agg[name][1]) for name in METRIC_NAMES] + [repr(skipped_std)]
-    )
+        writer.writerow([i] + [repr(getattr(r, name)) for name in METRIC_NAMES]
+                        + [r.skipped_instances])
+    for j, label in enumerate(("mean", "std")):
+        writer.writerow([label] + [repr(agg[name][j]) for name in names])
     return buf.getvalue()

@@ -1,11 +1,13 @@
 """Experimental protocol: noise, repeated splits, tuning, reporting.
 
 One run corrupts the dataset once, draws the requested number of
-train/test splits, and for each split enriches the training labels,
-selects the ridge weight by cross-validation scored against the
-candidate labels of held-out folds (ground truth is never visible to
-the learner), fits the predictor and evaluates on the test half
-against ground truth.
+train/test splits, and for each split selects the ridge weight by
+cross-validation scored against the candidate labels of held-out folds
+(ground truth is never visible to the learner), enriches the training
+labels, fits the predictor and evaluates on the test half against
+ground truth. Stage 1 is always ``enrich_dataset``: the folds,
+``fit_pipeline`` and the CLI's ``enrich`` all call it, so the graph
+never sees the bias column.
 
 Every random draw is seeded through a hierarchy rooted at the master
 seed (numpy ``SeedSequence`` spawn keys), so adding splits never
@@ -34,7 +36,7 @@ from .data import (
     split,
 )
 from .enrichment import EnrichmentMatrix, PropagationConfig, enrich
-from .errors import ConfigError, DataError, PmltkError, StateError
+from .errors import ConfigError, DataError, PmltkError
 from .graph import KnnConfig, build_graph
 from .metrics import METRIC_NAMES, MetricsReport, aggregate, evaluate
 from .trainer import TrainerConfig, fit, predict
@@ -130,36 +132,42 @@ def _fold_indices(n: int, folds: int, seed: int) -> list[np.ndarray]:
     return [np.sort(p) for p in parts]
 
 
+def enrich_dataset(ds: Dataset, cfg: ExperimentConfig) -> EnrichmentMatrix:
+    """Stage 1: the kNN graph with ``cfg.knn_config()`` and the propagation
+    with ``cfg.propagation_config()``. The graph sees the instance
+    features only: with ``cfg.add_bias`` the constant column that
+    ``transform_features`` appends last is left out."""
+    X = ds.X[:, :-1] if cfg.add_bias else ds.X
+    return enrich(ds, build_graph(X, cfg.knn_config()), cfg.propagation_config())
+
+
 @single_threaded
 def select_lambda2(train: Dataset, cfg: ExperimentConfig, seed: int) -> float:
-    """Cross-validated ridge weight from ``cfg.lambda2_grid``.
+    """Cross-validated ridge weight from ``cfg.lambda2_grid``, or
+    ``cfg.lambda2`` when that fixes it.
 
     ``train`` is split into ``cfg.cv_folds`` folds seeded by ``seed``.
     For each fold the remaining instances are enriched once with
-    ``cfg``'s kNN and propagation settings (the enrichment does not
-    depend on the grid value) and a model is fit per grid value with
+    ``enrich_dataset`` (the enrichment does not depend on the grid
+    value) and a model is fit per grid value with
     ``cfg.trainer_config``; fold scores are average precision against
     the held-out candidate labels. Highest mean wins, ties go to the
     smaller value. The mean AP of every grid value and the choice are
     logged at INFO on the ``pmltk.pipeline`` logger.
     """
+    if cfg.lambda2 is not None:
+        return float(cfg.lambda2)
     grid = sorted(float(g) for g in cfg.lambda2_grid)
     if len(grid) == 1:
         return grid[0]
     folds = cfg.cv_folds
     if train.n < folds:
-        raise ConfigError(
-            f"cannot make {folds} folds out of {train.n} training instances"
-        )
-    fold_parts = _fold_indices(train.n, folds, seed)
+        raise ConfigError(f"cannot make {folds} folds out of {train.n} training instances")
     ap_sums = np.zeros(len(grid))
-    all_idx = np.arange(train.n)
-    for part in fold_parts:
-        rest = np.setdiff1d(all_idx, part)
-        sub = train.subset(rest)
+    for part in _fold_indices(train.n, folds, seed):
+        sub = train.subset(np.setdiff1d(np.arange(train.n), part))
         held = train.subset(part)
-        graph = build_graph(sub.X, cfg.knn_config())
-        em = enrich(sub, graph, cfg.propagation_config())
+        em = enrich_dataset(sub, cfg)
         for gi, lam in enumerate(grid):
             model, _, _ = fit(sub.X, em.Yhat, sub.Y, cfg.trainer_config(lam))
             scores, labels = predict(model, held.X)
@@ -186,15 +194,10 @@ def _stage(name: str):
         raise
 
 
-def fit_pipeline(
-    train: Dataset,
-    cfg: ExperimentConfig,
-    split_index: int,
-    enrichment: EnrichmentMatrix | None = None,
-):
-    """Both stages on a training set: select lambda2 by cross-validation
-    (unless ``cfg.lambda2`` fixes it), build the graph and enrich (unless
-    ``enrichment`` is given), then fit.
+def fit_pipeline(train: Dataset, cfg: ExperimentConfig, split_index: int,
+                 enrichment: EnrichmentMatrix | None = None):
+    """Both stages on a training set: select lambda2 (``select_lambda2``),
+    enrich (``enrich_dataset``, unless ``enrichment`` is given), then fit.
 
     The cross-validation folds are seeded from ``cfg.seed`` and
     ``split_index``. Returns ``(model, trace, lambda2)``, where ``trace``
@@ -204,15 +207,11 @@ def fit_pipeline(
         raise DataError(
             f"enrichment is {enrichment.n} x {enrichment.l} but dataset is {train.n} x {train.l}"
         )
-    if cfg.lambda2 is not None:
-        lam2 = float(cfg.lambda2)
-    else:
-        with _stage("lambda2 selection"):
-            lam2 = select_lambda2(train, cfg, derive_seed(cfg.seed, _STAGE_CV, split_index))
+    with _stage("lambda2 selection"):
+        lam2 = select_lambda2(train, cfg, derive_seed(cfg.seed, _STAGE_CV, split_index))
     if enrichment is None:
         with _stage("enrichment"):
-            graph = build_graph(train.X, cfg.knn_config())
-            enrichment = enrich(train, graph, cfg.propagation_config())
+            enrichment = enrich_dataset(train, cfg)
     with _stage("training"):
         model, _, trace = fit(train.X, enrichment.Yhat, train.Y, cfg.trainer_config(lam2))
     return model, trace, lam2
@@ -238,8 +237,6 @@ def run_benchmark(cfg: ExperimentConfig) -> dict:
                 train, test = transform_features(cfg, *split(noisy, spec))
             model, _, lam2 = fit_pipeline(train, cfg, i)
             with _stage("evaluation"):
-                if test.Ytruth is None:
-                    raise StateError("test split carries no ground truth to evaluate against")
                 report = evaluate(*predict(model, test.X), test.Ytruth)
         except PmltkError as exc:
             exc.args = (f"split {i} failed: {exc}",)

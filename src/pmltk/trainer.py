@@ -19,13 +19,13 @@ The loop touches ``W`` only through the fitted values ``X W`` and
 ``alpha = (X X^T + lambda2 I)^{-1} C`` instead of ``W``: the solve gives
 ``X W = C - lambda2 alpha`` and ``||W||_F^2 = <alpha, X W>`` without a
 product through ``X``, and ``W = X^T alpha`` is formed once, when
-``fit`` returns.
+``fit`` returns it in a ``Model`` with the weights it was fit with.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -93,10 +93,11 @@ class TrainerState:
 
 @dataclass(frozen=True)
 class Model:
-    """Trained linear predictor with the metadata needed to persist it."""
+    """Trained d x l linear predictor ``W`` and the weights it was fit with."""
 
     W: np.ndarray
-    metadata: dict = field(default_factory=dict)
+    lambda1: float
+    lambda2: float
 
 
 def nuclear_norm(M) -> float:
@@ -282,11 +283,7 @@ def fit(X, Yhat, Y, cfg: TrainerConfig = TrainerConfig()):
             cfg.outer_max, cfg.outer_tol, change,
         )
     state.W = solver.predictor(coef)
-    model = Model(
-        W=state.W,
-        metadata={"d": d, "l": l, "lambda1": cfg.lambda1, "lambda2": cfg.lambda2},
-    )
-    return model, state, trace
+    return Model(state.W, cfg.lambda1, cfg.lambda2), state, trace
 
 
 @single_threaded
@@ -306,10 +303,10 @@ def predict(model: Model, X_test):
 
 
 def save_model(model: Model, path) -> None:
-    """Persist as a ``#d l lambda1 lambda2`` header plus dense CSV rows of W."""
-    meta = model.metadata
-    header = f"#{meta['d']} {meta['l']} {float(meta['lambda1'])!r} {float(meta['lambda2'])!r}"
+    """Persist as a ``#d l lambda1 lambda2`` header, with ``d l`` taken from
+    ``W``'s shape, plus dense CSV rows of W."""
     W = np.asarray(model.W, dtype=np.float64)
+    header = f"#{W.shape[0]} {W.shape[1]} {float(model.lambda1)!r} {float(model.lambda2)!r}"
     write_lines(path, "model", [header, *csv_rows(W)])
 
 
@@ -318,7 +315,7 @@ def load_model(path) -> Model:
     W = np.empty((d, l), dtype=np.float64)
     for i, (lineno, line) in enumerate(rows):
         W[i] = parse_float_row(line, l, lineno, "W")
-    return Model(W=W, metadata={"d": d, "l": l, "lambda1": lambda1, "lambda2": lambda2})
+    return Model(W, lambda1, lambda2)
 
 
 def save_predictions(scores, labels, path) -> None:

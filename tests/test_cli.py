@@ -7,7 +7,8 @@ import click
 import pytest
 from helpers import clustered_dataset
 
-from pmltk import load
+import pmltk
+from pmltk import build_graph, load
 from pmltk.cli import cli, main
 from pmltk.data import save
 from pmltk.metrics import evaluate, report_to_json, reports_to_csv
@@ -122,3 +123,39 @@ def test_help_shows_defaults(capsys):
                   "[default: sparse-multilabel]"):
         assert shown in text
     assert "[default: False]" not in text
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_add_bias_routes_agree(tmp_path, capsys, seed):
+    # the graph never sees the bias column, so enriching first changes nothing
+    clean, noisy = tmp_path / "clean.sml", tmp_path / "noisy.sml"
+    save(clustered_dataset(n=80, d=6, l=5, seed=seed), clean, "sparse-multilabel")
+    assert main(["inject-noise", str(clean), "--noise", "100", "--seed", str(seed),
+                 "--out", str(noisy)]) == 0
+    yhat, two_step, one_step = tmp_path / "yhat.csv", tmp_path / "m2.txt", tmp_path / "m1.txt"
+    fixed = ["--lambda2", "10", "--add-bias"]
+    assert main(["enrich", str(noisy), "--out", str(yhat)]) == 0
+    assert main(["train", str(noisy), "--enrichment", str(yhat), *fixed,
+                 "--out", str(two_step)]) == 0
+    assert main(["train", str(noisy), *fixed, "--out", str(one_step)]) == 0
+    capsys.readouterr()
+    assert two_step.read_bytes() == one_step.read_bytes()
+
+
+def test_misshaped_enrichment_fails_before_any_graph(toy_file, tmp_path, capsys, monkeypatch):
+    graphs = []
+
+    def spy(*args, **kwargs):
+        graphs.append(args)
+        return build_graph(*args, **kwargs)
+
+    monkeypatch.setattr(pmltk.pipeline, "build_graph", spy)
+    yhat = tmp_path / "yhat.csv"
+    yhat.write_text("#3 4\n" + "0.5,-0.5,0.5,-0.5\n" * 3)
+    # no --lambda2: the shape check must come before the cross-validation too
+    assert main(["train", str(toy_file), "--k", "4", "--cv-folds", "2", "--enrichment",
+                 str(yhat), "--out", str(tmp_path / "model.txt")]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == "error: enrichment is 3 x 4 but dataset is 40 x 4"
+    assert graphs == []
+    assert not (tmp_path / "model.txt").exists()

@@ -126,11 +126,15 @@ class TestLoad:
         ("dense-csv", "#2 2 2\n\n0.1,0.2;1,0\n0.3,0.4;0,0\n", ValidationError),
         ("sparse-multilabel", "#2 3 4\n\n0 0:1.0\n1 2-1.0\n", ParseError),
         ("sparse-multilabel", "#2 3 4\n\n0 0:1.0\n1 2:x\n", ParseError),
+        ("sparse-multilabel", "#2 3 4\n\n0 0:1.0\n|1 1:1.0\n", ValidationError),
+        ("sparse-multilabel", "#2 3 4\n\n0|0 0:1.0\n1| 1:1.0\n", ValidationError),
+        ("dense-csv", "#2 2 2\n\n0.1,0.2;1,0\n0.3;0,1\n", ParseError),
     ], ids=[
         "sparse-mixed-truth", "sparse-mixed-no-truth", "dense-mixed-truth",
         "dense-mixed-no-truth", "dense-one-block", "dense-four-blocks",
         "dense-non-binary-label", "dense-non-binary-truth", "dense-empty-candidates",
-        "sparse-pair-without-colon", "sparse-bad-feature-value",
+        "sparse-pair-without-colon", "sparse-bad-feature-value", "sparse-empty-candidates",
+        "sparse-empty-truth", "dense-too-few-features",
     ])
     def test_bad_row_names_file_line(self, tmp_path, fmt, text, error):
         # the bad row sits on line 4 of the file, after a blank line
@@ -237,6 +241,8 @@ class TestSplit:
         t1, s1 = split(ds, SplitSpec(0.4, seed=11))
         t2, s2 = split(ds, SplitSpec(0.4, seed=11))
         assert (t1.X == t2.X).all() and (s1.X == s2.X).all()
+        assert not any(np.shares_memory(a, b) for a in (t1.X, t1.Y, t1.Ytruth)
+                       for b in (ds.X, ds.Y, ds.Ytruth))
         # partition: every original row appears exactly once across both halves
         merged = np.vstack([t1.X, s1.X])
         assert merged.shape == ds.X.shape
@@ -266,11 +272,13 @@ BAD_VALUE_ON_LINE_4 = {
     "predictions": (load_predictions, "#2 2\n\n0.1,0.2;1,0\n0.3,x;0,1\n"),
 }
 
+# A header dimension that is negative, or not an integer, is a parse error on line 1.
 NEGATIVE_DIMENSION = {
     "dataset": (lambda p: load(p, "dense-csv"), "#2 -2 2\n0.1,0.2;1,0\n0.3,0.4;0,1\n"),
     "enrichment": (load_enrichment, "#2 -2\n0.1,0.2\n0.3,0.4\n"),
     "model": (load_model, "#2 -1 1.0 10.0\n0.1,0.2\n0.3,0.4\n"),
     "predictions": (load_predictions, "#2 -2\n0.1,0.2;1,0\n0.3,0.4;0,1\n"),
+    "dataset-not-an-integer": (load, "#2 x 4\n0 0:1.0\n1 1:1.0\n"),
 }
 
 
@@ -295,7 +303,9 @@ class TestTextFiles:
         ("#2 2\n\n0.1,0.2;1,0\n0.3,0.4;1,0,1\n", ParseError),
         ("#2 2\n\n0.1,0.2;1,0\n0.3,0.4;2,0\n", ValidationError),
         ("#2 2\n\n0.1,0.2;1,0\n0.3,0.4;0,-1\n", ValidationError),
-    ], ids=["no-separator", "too-few-labels", "too-many-labels", "label-2", "label-minus-1"])
+        ("#2 2\n\n0.1,0.2;1,0\n0.3,0.4;1.5,0\n", ParseError),
+    ], ids=["no-separator", "too-few-labels", "too-many-labels", "label-2", "label-minus-1",
+            "label-1.5"])
     def test_bad_prediction_row_names_file_line(self, tmp_path, text, error):
         with pytest.raises(error) as exc:
             load_predictions(write(tmp_path, text))
@@ -344,8 +354,7 @@ class TestWrittenBytes:
 
     def test_model(self, tmp_path):
         p = tmp_path / "model.txt"
-        meta = {"d": 2, "l": 2, "lambda1": 1.0, "lambda2": 10}
-        save_model(Model(np.array([[0.1, -2.5e-8], [1 / 3, 0.0]]), meta), p)
+        save_model(Model(np.array([[0.1, -2.5e-8], [1 / 3, 0.0]]), 1.0, 10), p)
         assert p.read_bytes() == b"#2 2 1.0 10.0\n0.1,-2.5e-08\n0.3333333333333333,0.0\n"
 
     def test_predictions(self, tmp_path):

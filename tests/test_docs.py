@@ -1,11 +1,14 @@
-"""The README's library example runs as written against the package."""
+"""The README's command-line and library examples run as written against
+the package."""
 
 import re
+import shlex
 from pathlib import Path
 
 from helpers import clustered_dataset
 
 import pmltk
+from pmltk.cli import main
 from pmltk.data import save
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -35,3 +38,20 @@ def test_library_section_names_exist():
     assert {"load", "fit", "run_benchmark", "ExperimentConfig"} <= names
     assert [n for n in sorted(names) if not hasattr(pmltk, n)] == []
     assert callable(pmltk.select_lambda2)
+
+
+def test_command_line_example_runs(tmp_path, monkeypatch, capsys):
+    # the example reads original.sml and test.sml from the working directory
+    save(clustered_dataset(n=48, d=5, l=4, groups=3, seed=21), tmp_path / "original.sml",
+         "sparse-multilabel")
+    save(clustered_dataset(n=20, d=5, l=4, groups=3, seed=22), tmp_path / "test.sml",
+         "sparse-multilabel")
+    monkeypatch.chdir(tmp_path)
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    [block] = re.findall(r"```sh\n(.*?)```", section.split("\n## ", 1)[0], flags=re.S)
+    lines = block.splitlines()
+    assert len(lines) == 6 and all(line.startswith("pmltk ") for line in lines)
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
+    capsys.readouterr()
+    assert (tmp_path / "report.csv").read_text().startswith("split,")

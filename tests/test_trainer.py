@@ -376,28 +376,28 @@ class TestCachedLoop:
 
 class TestPredict:
     def test_zero_model(self):
-        model = Model(W=np.zeros((3, 2)), metadata={"d": 3, "l": 2, "lambda1": 1.0, "lambda2": 1.0})
+        model = Model(W=np.zeros((3, 2)), lambda1=1.0, lambda2=1.0)
         scores, labels = predict(model, np.ones((4, 3)))
         assert (scores == 0).all() and (labels == 0).all()
 
     def test_threshold_rule(self):
-        model = Model(W=np.array([[0.9, 0.1]]), metadata={"d": 1, "l": 2, "lambda1": 1.0, "lambda2": 1.0})
+        model = Model(W=np.array([[0.9, 0.1]]), lambda1=1.0, lambda2=1.0)
         scores, labels = predict(model, np.array([[1.0]]))
         assert labels.tolist() == [[1, 0]]
 
     def test_threshold_inclusive(self):
-        model = Model(W=np.array([[0.5]]), metadata={"d": 1, "l": 1, "lambda1": 1.0, "lambda2": 1.0})
+        model = Model(W=np.array([[0.5]]), lambda1=1.0, lambda2=1.0)
         _, labels = predict(model, np.array([[1.0]]))
         assert labels[0, 0] == 1
 
     def test_dimension_mismatch(self):
-        model = Model(W=np.zeros((3, 2)), metadata={})
+        model = Model(W=np.zeros((3, 2)), lambda1=1.0, lambda2=1.0)
         with pytest.raises(ShapeError):
             predict(model, np.ones((4, 5)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input(self, bad):
-        model = Model(W=np.ones((3, 2)), metadata={})
+        model = Model(W=np.ones((3, 2)), lambda1=1.0, lambda2=1.0)
         X = np.ones((4, 3))
         X[2, 1] = bad
         with pytest.raises(NumericError):
@@ -431,8 +431,16 @@ class TestPersistence:
         save_model(model, p)
         back = load_model(p)
         assert back.W.tobytes() == model.W.tobytes()
-        assert back.metadata == model.metadata
+        assert (back.lambda1, back.lambda2) == (model.lambda1, model.lambda2)
         assert p.read_text().splitlines()[0] == "#4 3 1.0 100.0"
+
+    def test_model_header_dimensions_from_w(self, tmp_path):
+        p = tmp_path / "model.txt"
+        save_model(Model(np.arange(6.0).reshape(3, 2), 1.0, 10.0), p)
+        assert p.read_text().splitlines()[0] == "#3 2 1.0 10.0"
+        back = load_model(p)
+        assert back.W.tolist() == np.arange(6.0).reshape(3, 2).tolist()
+        assert (back.lambda1, back.lambda2) == (1.0, 10.0)
 
     def test_predictions_round_trip(self, tmp_path):
         rng = np.random.default_rng(18)
