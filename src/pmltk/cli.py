@@ -150,7 +150,7 @@ def evaluate_cmd(predictions, dataset, data_format, report_format, out):
     text = (
         metrics.report_to_json(report)
         if report_format == "json"
-        else metrics.reports_to_csv([report])
+        else metrics.reports_to_csv([report], metrics.aggregate([report]))
     )
     if out:
         _write_report(out, text)
@@ -166,15 +166,16 @@ def evaluate_cmd(predictions, dataset, data_format, report_format, out):
 @click.option("--out", type=click.Path(), default=None, help="Report file path.")
 def benchmark_cmd(dataset, report_format, out, **options):
     """Run the repeated-split protocol and aggregate the metrics."""
-    result = pipeline.run_benchmark(ExperimentConfig(dataset=dataset, **options))
-    reports = [metrics.MetricsReport.from_dict(r) for r in result["per_split"]]
+    reports, lambdas = pipeline.run_splits(ExperimentConfig(dataset=dataset, **options))
+    agg = metrics.aggregate(reports)
     if out:
         to_text = metrics.reports_to_json if report_format == "json" else metrics.reports_to_csv
-        _write_report(out, to_text(reports))
+        _write_report(out, to_text(reports, agg))
     click.echo(f"{'metric':<14} {'mean':>10} {'std':>10}")
     for name in metrics.METRIC_NAMES:
-        click.echo(f"{name:<14} {result['mean'][name]:>10.4f} {result['std'][name]:>10.4f}")
-    click.echo("lambda2 per split: " + ", ".join(map(repr, result["lambda2_per_split"])))
+        mean, std = agg[name]
+        click.echo(f"{name:<14} {mean:>10.4f} {std:>10.4f}")
+    click.echo("lambda2 per split: " + ", ".join(map(repr, lambdas)))
     if out:
         click.echo(f"wrote {out}")
 

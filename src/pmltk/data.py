@@ -11,16 +11,20 @@ start with a ``#n d l`` header line:
 * ``dense-csv``: ``x1,...,xd;y1,...,yl`` per line with binary labels,
   optionally followed by a third ``;t1,...,tl`` ground-truth block.
 
-``load`` reads either format in one loop over the rows, with one row
-parser per format; either every row carries a ground-truth block or
-none does. A bad row raises an error that names its line of the file.
-``_as_binary`` is the one 0/1 check on label matrices: datasets, the
-metrics and the prediction reader all go through it.
+``load`` parses a dense file in one C-level pass (``np.loadtxt``) when
+every row has the expected blocks, binary labels and a candidate, and
+otherwise runs one loop over the rows, with one row parser per format;
+either every row carries a ground-truth block or none does. A bad row
+raises an error that names its line of the file. ``_as_binary`` is the
+one 0/1 check on label matrices: datasets, the metrics and the
+prediction reader all go through it.
 
 Floats are serialized with ``repr`` so save followed by load restores
 every matrix bit-exactly. The enrichment, model and prediction files
-share the ``#header`` + rows layout: ``read_table`` reads all of them
-and ``write_lines`` writes every file pmltk produces.
+share the ``#header`` + rows layout: ``read_table`` reads all of them,
+``parse_float_rows`` parses their float rows in one C-level pass, with
+the row loop (``parse_float_row``) as the error path, and
+``write_lines`` writes every file pmltk produces.
 
 Randomness uses numpy's PCG64 generator, so seeded operations are
 reproducible across platforms. Datasets are immutable by convention:
@@ -215,6 +219,32 @@ def parse_float_row(text, width, lineno, what):
         raise ParseError(f"bad {what} value: {exc}", line=lineno) from None
 
 
+def _loadtxt(texts, shape):
+    """The row strings ``texts`` as a float matrix of ``shape``, parsed in
+    one C-level pass, or None when ``np.loadtxt`` rejects a value or the
+    shape differs. Every value ``np.loadtxt`` accepts, ``float()`` accepts
+    too and reads as the same float; ``float()`` alone takes digit
+    separators (``1_0``) and non-ASCII digits."""
+    try:
+        M = np.loadtxt(texts, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    return M if M.shape == shape else None
+
+
+def parse_float_rows(rows, width, what):
+    """The ``(lineno, text)`` rows of ``width`` comma-separated floats as a
+    matrix, parsed in one C-level pass. When that fails the rows go through
+    ``parse_float_row`` one by one, which raises the first bad row's
+    ``ParseError`` or reads the values only ``float()`` accepts."""
+    M = _loadtxt((text for _, text in rows), (len(rows), width))
+    if M is None:
+        M = np.empty((len(rows), width))
+        for i, (lineno, text) in enumerate(rows):
+            M[i] = parse_float_row(text, width, lineno, what)
+    return M
+
+
 def csv_rows(M):
     """Rows of a 2-d array as comma-separated ``repr`` values, which
     restore every float bit-exactly. Yields one row at a time, so no
@@ -291,17 +321,46 @@ def _dense_row(line, lineno, x, y, t) -> bool:
     return len(blocks) == 3
 
 
+def _load_dense(rows, d, l) -> Optional[Dataset]:
+    """The dense rows in one C-level pass, or None when a row needs the
+    row loop: blocks other than the first row's (``d`` features and one or
+    two blocks of ``l`` labels), a value ``np.loadtxt`` rejects, a label
+    other than 0 or 1, or an empty candidate set. The loop then raises
+    the error of the first bad row, or reads what only ``float()`` takes."""
+    blocks = rows[0][1].count(";") + 1
+    want = [d - 1, l - 1, l - 1][:blocks]
+    if blocks < 2 or any([b.count(",") for b in line.split(";")] != want for _, line in rows):
+        return None
+    M = _loadtxt((line.replace(";", ",") for _, line in rows), (len(rows), d + (blocks - 1) * l))
+    if M is None:
+        return None
+    labels = M[:, d:]
+    if ((labels != 0) & (labels != 1)).any():
+        return None
+    Y = labels[:, :l].astype(np.int8)
+    if not Y.any(axis=1).all():
+        return None
+    T = labels[:, l:].astype(np.int8) if blocks == 3 else Y.copy()
+    return Dataset(np.ascontiguousarray(M[:, :d]), Y, T)
+
+
 def load(path, format: str = SPARSE_FORMAT) -> Dataset:
     """Read a dataset file.
 
     Plain files (single label block) come back in the noise-free state:
     ``Ytruth`` holds the parsed labels and ``Y`` equals it. Files with a
     second label block populate ``Y`` from the candidates and ``Ytruth``
-    from the truth block; every row must then carry one.
+    from the truth block; every row must then carry one. A dense file is
+    parsed in one C-level pass; the row loop runs when that pass cannot
+    take every row as it is, so a bad row fails as it does there.
     """
     if format not in FORMATS:
         raise ConfigError(f"unknown dataset format {format!r}; expected one of {FORMATS}")
     (n, d, l), rows = read_table(path, "dataset", "n d l")
+    if format == DENSE_FORMAT:
+        ds = _load_dense(rows, d, l)
+        if ds is not None:
+            return ds
     parse_row = _sparse_row if format == SPARSE_FORMAT else _dense_row
     X = np.zeros((n, d), dtype=np.float64)
     Y = np.zeros((n, l), dtype=np.int8)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._blas import single_threaded
-from .data import Dataset, csv_rows, parse_float_row, read_table, write_lines
+from .data import Dataset, csv_rows, parse_float_rows, read_table, write_lines
 from .errors import ConfigError, ShapeError, ValidationError
 from .graph import WeightGraph
 
@@ -127,8 +127,7 @@ def save_enrichment(em: EnrichmentMatrix, path) -> None:
 
 
 def load_enrichment(path) -> EnrichmentMatrix:
+    """Read a ``save_enrichment`` file; its rows are parsed in one C-level
+    pass, with the row loop as the error path (``parse_float_rows``)."""
     (n, l), rows = read_table(path, "enrichment", "n l")
-    out = np.empty((n, l), dtype=np.float64)
-    for i, (lineno, line) in enumerate(rows):
-        out[i] = parse_float_row(line, l, lineno, "enrichment")
-    return EnrichmentMatrix(out)
+    return EnrichmentMatrix(parse_float_rows(rows, l, "enrichment"))

@@ -105,6 +105,9 @@ def build_knn(X: np.ndarray, cfg: KnnConfig) -> np.ndarray:
     if k >= n:
         raise ConfigError(f"k={k} must be smaller than the instance count {n}")
     sq = np.einsum("ij,ij->i", X, X)
+    # every squared distance is at most (|xi| + |xj|)**2 <= 4 max |x|**2
+    if not np.isfinite(4.0 * sq.max()):
+        raise NumericError("feature rows too large: squared distances overflow")
     # built in place so that only one n x n array is live
     gram = X @ X.T
     gram *= -2.0

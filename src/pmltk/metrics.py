@@ -47,10 +47,6 @@ class MetricsReport:
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "MetricsReport":
-        return cls(**{f.name: d[f.name] for f in fields(cls)})
-
 
 def evaluate(scores, labels, truth) -> MetricsReport:
     """Score predictions against ground truth.
@@ -120,9 +116,9 @@ def evaluate(scores, labels, truth) -> MetricsReport:
     )
 
 
-def aggregate(reports, names=METRIC_NAMES) -> dict[str, tuple[float, float]]:
-    """Sample mean and (n-1)-normalized standard deviation of each named
-    report field.
+def aggregate(reports) -> dict[str, tuple[float, float]]:
+    """Sample mean and (n-1)-normalized standard deviation of every report
+    field, ``skipped_instances`` included.
 
     A single report aggregates to std 0.
     """
@@ -130,10 +126,10 @@ def aggregate(reports, names=METRIC_NAMES) -> dict[str, tuple[float, float]]:
     if not reports:
         raise ValidationError("cannot aggregate zero reports")
     out = {}
-    for name in names:
-        vals = np.array([getattr(r, name) for r in reports], dtype=np.float64)
+    for f in fields(MetricsReport):
+        vals = np.array([getattr(r, f.name) for r in reports], dtype=np.float64)
         std = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
-        out[name] = (float(vals.mean()), std)
+        out[f.name] = (float(vals.mean()), std)
     return out
 
 
@@ -142,9 +138,9 @@ def report_to_json(report: MetricsReport) -> str:
     return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def reports_to_json(reports) -> str:
-    """Benchmark-style JSON: per-split reports plus mean/std maps."""
-    agg = aggregate(reports)
+def reports_to_json(reports, agg) -> str:
+    """Benchmark-style JSON: per-split reports plus the metrics' mean/std
+    maps, taken from ``agg``, the reports' ``aggregate``."""
     doc = {
         "splits": [r.to_dict() for r in reports],
         "mean": {name: agg[name][0] for name in METRIC_NAMES},
@@ -153,11 +149,10 @@ def reports_to_json(reports) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def reports_to_csv(reports) -> str:
-    """CSV with one row per split and a mean/std footer."""
-    reports = list(reports)
+def reports_to_csv(reports, agg) -> str:
+    """CSV with one row per split and a mean/std footer taken from
+    ``agg``, the reports' ``aggregate``."""
     names = METRIC_NAMES + ("skipped_instances",)
-    agg = aggregate(reports, names)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("split",) + names)

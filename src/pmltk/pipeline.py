@@ -218,13 +218,9 @@ def fit_pipeline(train: Dataset, cfg: ExperimentConfig, split_index: int,
 
 
 @single_threaded
-def run_benchmark(cfg: ExperimentConfig) -> dict:
-    """Repeated-split protocol.
-
-    Returns a dict with per-split reports, aggregate mean/std and the
-    selected lambda2 values. Writes and prints nothing; the CLI's
-    ``benchmark`` command writes the report file and the summary table.
-    """
+def run_splits(cfg: ExperimentConfig) -> tuple[list[MetricsReport], list[float]]:
+    """Repeated-split protocol: the test report and the selected lambda2 of
+    every split. Writes and prints nothing."""
     # corrupt once: all splits share the same noisy dataset
     ds = load(cfg.dataset, cfg.data_format)
     noisy = inject_noise(ds, NoiseConfig(a=cfg.noise, seed=derive_seed(cfg.seed, _STAGE_NOISE)))
@@ -243,6 +239,15 @@ def run_benchmark(cfg: ExperimentConfig) -> dict:
             raise
         reports.append(report)
         lambdas.append(lam2)
+    return reports, lambdas
+
+
+def run_benchmark(cfg: ExperimentConfig) -> dict:
+    """``run_splits`` as a dict of per-split reports, their mean/std maps
+    (``aggregate``) and the selected lambda2 values. Writes and prints
+    nothing; the CLI's ``benchmark`` command writes the report file and
+    the summary table from ``run_splits`` and one ``aggregate``."""
+    reports, lambdas = run_splits(cfg)
     agg = aggregate(reports)
     return {
         "per_split": [r.to_dict() for r in reports],

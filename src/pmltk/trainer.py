@@ -11,7 +11,9 @@ masked to the candidate set, an inner ADMM loop on the label
 correlation matrix ``B`` with singular value thresholding for the
 nuclear norm, and a ridge solve for the predictor ``W``. All linear
 systems go through symmetric positive-definite factorizations; no
-matrix is ever inverted explicitly.
+matrix is ever inverted explicitly. A factorization that fails, or that
+scipy refuses with ``ValueError`` because its matrix holds an inf or a
+nan (a Gram that overflowed), raises ``NumericError``.
 
 The loop touches ``W`` only through the fitted values ``X W`` and
 ``||W||_F^2``, which the ridge step returns and the state carries. When
@@ -31,7 +33,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from ._blas import single_threaded
-from .data import _as_binary, csv_rows, parse_float_row, read_table, write_lines
+from .data import _as_binary, csv_rows, parse_float_row, parse_float_rows, read_table, write_lines
 from .errors import ConfigError, NumericError, ParseError, ShapeError
 
 _log = logging.getLogger(__name__)
@@ -149,7 +151,7 @@ def update_c(state: TrainerState, Yhat, Y) -> np.ndarray:
     G[np.diag_indices_from(G)] += 1.0
     try:
         factor = cho_factor(G, lower=True)
-    except np.linalg.LinAlgError as exc:
+    except (np.linalg.LinAlgError, ValueError) as exc:
         raise NumericError(f"confidence-system factorization failed: {exc}") from None
     rhs = Yhat @ B.T + state.XW
     C = cho_solve(factor, rhs.T).T
@@ -171,7 +173,7 @@ def update_b_admm(state: TrainerState, Yhat, cfg: TrainerConfig):
     G[np.diag_indices_from(G)] += tau
     try:
         factor = cho_factor(G, lower=True)
-    except np.linalg.LinAlgError as exc:
+    except (np.linalg.LinAlgError, ValueError) as exc:
         raise NumericError(f"ADMM auxiliary factorization failed: {exc}") from None
     data_term = 2.0 * (C.T @ Yhat)
     B, Bhat, Theta = state.B, state.Bhat, state.Theta
@@ -207,7 +209,7 @@ class RidgeSolver:
         G[np.diag_indices_from(G)] += lam
         try:
             self.factor = cho_factor(G, lower=True)
-        except np.linalg.LinAlgError as exc:
+        except (np.linalg.LinAlgError, ValueError) as exc:
             raise NumericError(f"ridge factorization failed: {exc}") from None
 
     def solve(self, C):
@@ -311,11 +313,10 @@ def save_model(model: Model, path) -> None:
 
 
 def load_model(path) -> Model:
+    """Read a ``save_model`` file; the rows of W are parsed in one C-level
+    pass, with the row loop as the error path (``parse_float_rows``)."""
     (d, l, lambda1, lambda2), rows = read_table(path, "model", "d l lambda1 lambda2", floats=2)
-    W = np.empty((d, l), dtype=np.float64)
-    for i, (lineno, line) in enumerate(rows):
-        W[i] = parse_float_row(line, l, lineno, "W")
-    return Model(W, lambda1, lambda2)
+    return Model(parse_float_rows(rows, l, "W"), lambda1, lambda2)
 
 
 def save_predictions(scores, labels, path) -> None:
@@ -329,19 +330,32 @@ def save_predictions(scores, labels, path) -> None:
 
 
 def load_predictions(path):
+    """Read a ``save_predictions`` file: the scores block in one C-level
+    pass (``parse_float_rows``), the labels with ``int()``. A bad row
+    fails as in a row by row read that checks the separator, the scores
+    and then the labels: the first bad row's first error is raised."""
     (m, l), rows = read_table(path, "predictions", "m l")
-    scores = np.empty((m, l), dtype=np.float64)
+    score_rows = []
     labels = np.empty((m, l), dtype=np.int64)
+    error = None
     for i, (lineno, line) in enumerate(rows):
         sblock, sep, lblock = line.partition(";")
         if not sep:
-            raise ParseError("expected 'scores;labels'", line=lineno)
-        scores[i] = parse_float_row(sblock, l, lineno, "score")
+            error = ParseError("expected 'scores;labels'", line=lineno)
+            break
+        score_rows.append((lineno, sblock))
         ltoks = lblock.split(",")
         if len(ltoks) != l:
-            raise ParseError(f"expected {l} labels, got {len(ltoks)}", line=lineno)
+            error = ParseError(f"expected {l} labels, got {len(ltoks)}", line=lineno)
+            break
         try:
             labels[i] = [int(t) for t in ltoks]
         except ValueError as exc:
-            raise ParseError(f"bad label value: {exc}", line=lineno) from None
+            error = ParseError(f"bad label value: {exc}", line=lineno)
+            break
+    if error is not None:
+        for lineno, text in score_rows:
+            parse_float_row(text, l, lineno, "score")
+        raise error
+    scores = parse_float_rows(score_rows, l, "score")
     return scores, _as_binary(labels, "prediction labels", [lineno for lineno, _ in rows])

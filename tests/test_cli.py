@@ -4,14 +4,16 @@ paths that the other tests do not reach."""
 import json
 
 import click
+import numpy as np
 import pytest
 from helpers import clustered_dataset
 
 import pmltk
-from pmltk import build_graph, load
+from pmltk import Dataset, EnrichmentMatrix, build_graph, load
 from pmltk.cli import cli, main
 from pmltk.data import save
-from pmltk.metrics import evaluate, report_to_json, reports_to_csv
+from pmltk.enrichment import save_enrichment
+from pmltk.metrics import aggregate, evaluate, report_to_json, reports_to_csv
 from pmltk.trainer import load_predictions
 
 REQUIRED = "required"
@@ -95,10 +97,10 @@ def test_evaluate_csv_and_stdout(toy_file, tmp_path, capsys):
     assert main(["evaluate", str(preds), str(toy_file), "--format", "csv",
                  "--out", str(csv_out)]) == 0
     assert capsys.readouterr().out == f"wrote {csv_out}\n"
-    assert csv_out.read_text() == reports_to_csv([report])
+    assert csv_out.read_text() == reports_to_csv([report], aggregate([report]))
 
     assert main(["evaluate", str(preds), str(toy_file), "--format", "csv"]) == 0
-    assert capsys.readouterr().out == reports_to_csv([report])
+    assert capsys.readouterr().out == reports_to_csv([report], aggregate([report]))
     assert main(["evaluate", str(preds), str(toy_file)]) == 0
     out = capsys.readouterr().out
     assert out == report_to_json(report)
@@ -158,4 +160,25 @@ def test_misshaped_enrichment_fails_before_any_graph(toy_file, tmp_path, capsys,
     [line] = capsys.readouterr().err.splitlines()
     assert line == "error: enrichment is 3 x 4 but dataset is 40 x 4"
     assert graphs == []
+    assert not (tmp_path / "model.txt").exists()
+
+
+@pytest.mark.parametrize("route, line", [
+    ("enrichment", "error: training stage: ridge factorization failed: "),
+    ("graph", "error: enrichment stage: feature rows too large: squared distances overflow"),
+])
+def test_overflowing_features_exit_3(tmp_path, capsys, route, line):
+    # finite features whose Gram products overflow to inf
+    X = np.random.default_rng(0).normal(size=(20, 30)) * 1e200
+    Y = np.eye(4, dtype=np.int8)[np.arange(20) % 4]
+    data_file, yhat = tmp_path / "big.sml", tmp_path / "yhat.csv"
+    save(Dataset(X, Y), data_file, "sparse-multilabel")
+    save_enrichment(EnrichmentMatrix(Y.astype(np.float64)), yhat)
+    stage1 = ["--enrichment", str(yhat)] if route == "enrichment" else ["--k", "3"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["train", str(data_file), *stage1, "--lambda2", "10",
+                     "--out", str(tmp_path / "model.txt")])
+    assert code == 3
+    [err] = capsys.readouterr().err.splitlines()
+    assert err.startswith(line)
     assert not (tmp_path / "model.txt").exists()

@@ -1,6 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from helpers import random_dataset
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pmltk import (
     ConfigError,
@@ -17,6 +21,7 @@ from pmltk import (
     load,
     split,
 )
+from pmltk import data
 from pmltk.data import save
 from pmltk.enrichment import load_enrichment, save_enrichment
 from pmltk.trainer import (
@@ -362,3 +367,126 @@ class TestWrittenBytes:
         labels = np.array([[1, 0], [0, 1]], dtype=np.int8)
         save_predictions([[0.75, 0.1 + 0.2], [-1e-5, 0.5]], labels, p)
         assert p.read_bytes() == b"#2 2\n0.75,0.30000000000000004;1,0\n-1e-05,0.5;0,1\n"
+
+
+# Float texts as pmltk writes them (``repr`` of any float64: -0.0, subnormals,
+# +-inf and nan included) and as people type them.
+FLOAT_TEXT = st.one_of(
+    st.floats(width=64).map(repr),
+    st.integers(-10**6, 10**6).map(lambda i: f"{i / 10**4:.4f}"),
+    st.sampled_from(["-0.0", "5e-324", "-2.5e-310", "inf", "-Infinity", "nan", "-nan", "1e400"]),
+)
+
+# One reader per float table, the matrix it returns and the file text for rows of
+# ``w`` comma-separated values.
+FLOAT_TABLES = {
+    "dataset": (lambda p: load(p, "dense-csv").X,
+                lambda rows, w: f"#{len(rows)} {w} 2\n" + "".join(r + ";1,0;1,0\n" for r in rows)),
+    "enrichment": (lambda p: load_enrichment(p).Yhat,
+                   lambda rows, w: f"#{len(rows)} {w}\n" + "".join(r + "\n" for r in rows)),
+    "model": (lambda p: load_model(p).W,
+              lambda rows, w: f"#{len(rows)} {w} 1.0 10.0\n" + "".join(r + "\n" for r in rows)),
+    "predictions": (lambda p: load_predictions(p)[0],
+                    lambda rows, w: f"#{len(rows)} {w}\n"
+                    + "".join(r + ";" + ",".join("1" * w) + "\n" for r in rows)),
+}
+
+
+def row_loop_only():
+    """Turn the C-level pass off, so every reader runs its row loop."""
+    return mock.patch.object(data, "_loadtxt", lambda texts, shape: None)
+
+
+def no_row_loop():
+    """Make the row loop fail, so a read that passes took the C-level pass."""
+    def refuse(*args):
+        raise AssertionError("the row loop ran")
+    return mock.patch.object(data, "parse_float_row", refuse)
+
+
+class TestCLevelParse:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(sorted(FLOAT_TABLES)), st.integers(1, 4), st.integers(1, 5), st.data())
+    def test_matches_row_loop_bit_for_bit(self, tmp_path, kind, n, w, draw):
+        cells = draw.draw(st.lists(st.lists(FLOAT_TEXT, min_size=w, max_size=w),
+                                   min_size=n, max_size=n))
+        reader, text = FLOAT_TABLES[kind]
+        p = write(tmp_path, text([",".join(row) for row in cells], w))
+        with no_row_loop():
+            fast = reader(p)
+        with row_loop_only():
+            slow = reader(p)
+        assert fast.dtype == slow.dtype == np.float64
+        assert fast.tobytes() == slow.tobytes()
+        assert fast.tobytes() == np.array([[float(t) for t in row] for row in cells]).tobytes()
+
+    @pytest.mark.parametrize("kind", sorted(FLOAT_TABLES))
+    def test_values_only_float_accepts(self, tmp_path, kind):
+        # digit separators and full-width digits go through the row loop
+        reader, text = FLOAT_TABLES[kind]
+        M = reader(write(tmp_path, text(["1_0, 1.5,\uff11", "-0.25,2_5.0_1,\uff12\uff10"], 3)))
+        assert M.tolist() == [[10.0, 1.5, 1.0], [-0.25, 25.01, 20.0]]
+
+    @pytest.mark.parametrize("kind", sorted(FLOAT_TABLES))
+    def test_clean_file_skips_row_loop(self, tmp_path, kind):
+        reader, text = FLOAT_TABLES[kind]
+        p = write(tmp_path, text(["0.1,-2.5e-08,-0.0", "1e+300,0.30000000000000004,5"], 3))
+        with no_row_loop():
+            M = reader(p)
+        assert M.tolist() == [[0.1, -2.5e-08, -0.0], [1e300, 0.1 + 0.2, 5.0]]
+
+    @pytest.mark.parametrize("fmt", ["dense-csv", "sparse-multilabel"])
+    def test_noisy_round_trip_skips_row_loop(self, tmp_path, fmt):
+        ds = inject_noise(random_dataset(n=30, d=7, l=5, seed=4), NoiseConfig(a=100, seed=4))
+        p = tmp_path / "ds.txt"
+        save(ds, p, fmt)
+        with no_row_loop():
+            back = load(p, fmt)
+        assert back.X.tobytes() == ds.X.tobytes() and back.X.flags.c_contiguous
+        assert (back.Y == ds.Y).all() and (back.Ytruth == ds.Ytruth).all()
+        assert back.Y.dtype == back.Ytruth.dtype == np.int8
+
+    @pytest.mark.parametrize("text, message", [
+        # the first bad row wins, whatever is wrong with the rows after it
+        ("#2 2 2\n\n0.1,x;1,0\n0.3,0.4;0,1;0,1\n",
+         "line 3: bad feature value: could not convert string to float: 'x'"),
+        ("#2 2 2\n\n0.1,0.2;1,0;1,0\n0.3,0.4;0,1\n",
+         "line 4: mixed rows: some carry a ground-truth block and some do not"),
+        ("#2 2 2\n\n0.1,0.2;1,0\n0.3,0.4;0.5,1\n",
+         "line 4: candidate labels must be 0 or 1, got 0.5"),
+        ("#2 2 2\n\n0.1,0.2;1,0;1,0\n0.3,0.4;0,1;nan,1\n",
+         "line 4: ground-truth labels must be 0 or 1, got nan"),
+        ("#2 2 2\n\n0.1,0.2;1,0\n0.3,0.4;0,0\n", "line 4: empty candidate label set"),
+        ("#2 2 2\n\n0.1,0.2;1,0\n0.3;0,1\n", "line 4: expected 2 feature values, got 1"),
+        # as many values as a good row, in the wrong blocks
+        ("#2 2 2\n\n0.1,0.2,1;0\n0.3,0.4;0,1\n", "line 3: expected 2 feature values, got 3"),
+        ("#2 2 2\n\n0.1,0.2;1,0;1,0\n0.3,0.4,0,1;0,1\n",
+         "line 4: expected 2 feature values, got 4"),
+        ("#2 2 2\n\n0.1,0.2;1,0\n0.3,0.4;0,1;0,1;0,1\n",
+         "line 4: expected 2 or 3 ';'-separated blocks, got 4"),
+        ("#2 2 2\n\n0.1,0.2;1,1\n0.3,0.4;0,1\n",
+         "instance 0 carries all 2 labels; at most l-1 are allowed"),
+        ("#2 2 2\n\n0.1,0.2;1,0;0,1\n0.3,0.4;0,1;0,1\n", "Ytruth must be covered by Y elementwise"),
+    ])
+    def test_dense_error_messages(self, tmp_path, text, message):
+        with pytest.raises(DataError) as exc:
+            load(write(tmp_path, text), "dense-csv")
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("text, message", [
+        # checked row by row: the separator, then the scores, then the labels
+        ("#2 2\n\n0.1,x;1,0,1\n0.3,0.4;0\n",
+         "line 3: bad score value: could not convert string to float: 'x'"),
+        ("#2 2\n\n0.1,0.2;1,0,1\n0.3,x;0,1\n", "line 3: expected 2 labels, got 3"),
+        ("#2 2\n\n0.1,0.2,0.3\n0.3,x;0,1\n", "line 3: expected 'scores;labels'"),
+        ("#2 2\n\n0.1,0.2;1,x\n0.3,x;0,1\n",
+         "line 3: bad label value: invalid literal for int() with base 10: 'x'"),
+        ("#2 2\n\n0.1,0.2;1,0\n0.3,x;0,x\n",
+         "line 4: bad score value: could not convert string to float: 'x'"),
+        ("#2 2\n\n;1,0\n0.3,0.4;0,1\n", "line 3: expected 2 score values, got 1"),
+    ])
+    def test_prediction_error_order(self, tmp_path, text, message):
+        with pytest.raises(ParseError) as exc:
+            load_predictions(write(tmp_path, text))
+        assert str(exc.value) == message

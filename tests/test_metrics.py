@@ -140,7 +140,7 @@ class TestSerialization:
     def test_csv_rows_and_footer(self):
         r1 = MetricsReport(0.2, 0.2, 0.2, 0.2, 0.2, 0.2, 0.2, 1)
         r2 = MetricsReport(0.4, 0.4, 0.4, 0.4, 0.4, 0.4, 0.4, 3)
-        lines = reports_to_csv([r1, r2]).strip().split("\n")
+        lines = reports_to_csv([r1, r2], aggregate([r1, r2])).strip().split("\n")
         assert len(lines) == 5  # header, two splits, mean, std
         assert lines[0].startswith("split,saccuracy")
         assert lines[3].split(",")[0] == "mean"
@@ -150,8 +150,8 @@ class TestSerialization:
     def test_json_csv_numeric_agreement(self):
         r1 = MetricsReport(0.25, 0.125, 0.0, 0.0625, 0.875, 0.5, 0.75, 0)
         r2 = MetricsReport(0.5, 0.25, 0.25, 0.125, 0.75, 0.25, 0.5, 1)
-        doc = json.loads(reports_to_json([r1, r2]))
-        lines = reports_to_csv([r1, r2]).strip().split("\n")
+        doc = json.loads(reports_to_json([r1, r2], aggregate([r1, r2])))
+        lines = reports_to_csv([r1, r2], aggregate([r1, r2])).strip().split("\n")
         header = lines[0].split(",")
         mean_row = dict(zip(header, lines[3].split(",")))
         for name, value in doc["mean"].items():

@@ -15,6 +15,7 @@ from pmltk import (
     ConfigError,
     ExperimentConfig,
     KnnConfig,
+    NoiseConfig,
     ParseError,
     PropagationConfig,
     TrainerConfig,
@@ -22,6 +23,7 @@ from pmltk import (
     enrich,
     evaluate,
     fit,
+    inject_noise,
     load,
     predict,
     run_benchmark,
@@ -152,7 +154,69 @@ class TestRunPipeline:
         assert ap0 >= ap200 - 0.02
 
 
+# The report files of ``pmltk benchmark`` with ``toy_args`` on the toy data, as
+# literal bytes, so neither the formats nor the aggregation can drift.
+BENCHMARK_REPORTS = {
+    "json": b"""{
+  "mean": {
+    "ap": 0.96875,
+    "hloss": 0.27604166666666663,
+    "macro_f1": 0.38425925925925924,
+    "micro_f1": 0.5041928721174005,
+    "oerror": 0.0625,
+    "rloss": 0.020833333333333332,
+    "saccuracy": 0.041666666666666664
+  },
+  "splits": [
+    {
+      "ap": 1.0,
+      "hloss": 0.3020833333333333,
+      "macro_f1": 0.2685185185185185,
+      "micro_f1": 0.4528301886792453,
+      "oerror": 0.0,
+      "rloss": 0.0,
+      "saccuracy": 0.08333333333333333,
+      "skipped_instances": 0
+    },
+    {
+      "ap": 0.9375,
+      "hloss": 0.25,
+      "macro_f1": 0.5,
+      "micro_f1": 0.5555555555555556,
+      "oerror": 0.125,
+      "rloss": 0.041666666666666664,
+      "saccuracy": 0.0,
+      "skipped_instances": 0
+    }
+  ],
+  "std": {
+    "ap": 0.04419417382415922,
+    "hloss": 0.03682847818679934,
+    "macro_f1": 0.1636821252746638,
+    "micro_f1": 0.07263780351811495,
+    "oerror": 0.08838834764831845,
+    "rloss": 0.02946278254943948,
+    "saccuracy": 0.05892556509887896
+  }
+}
+""",
+    "csv": b"""split,saccuracy,hloss,oerror,rloss,ap,macro_f1,micro_f1,skipped_instances
+0,0.08333333333333333,0.3020833333333333,0.0,0.0,1.0,0.2685185185185185,0.4528301886792453,0
+1,0.0,0.25,0.125,0.041666666666666664,0.9375,0.5,0.5555555555555556,0
+mean,0.041666666666666664,0.27604166666666663,0.0625,0.020833333333333332,0.96875,0.38425925925925924,0.5041928721174005,0.0
+std,0.05892556509887896,0.03682847818679934,0.08838834764831845,0.02946278254943948,0.04419417382415922,0.1636821252746638,0.07263780351811495,0.0
+""",
+}
+
+
 class TestRunBenchmark:
+    @pytest.mark.parametrize("fmt", sorted(BENCHMARK_REPORTS))
+    def test_report_file_bytes(self, toy_file, tmp_path, capsys, fmt):
+        out = tmp_path / f"report.{fmt}"
+        assert main(toy_args(toy_file, "--format", fmt, "--out", str(out))) == 0
+        capsys.readouterr()
+        assert out.read_bytes() == BENCHMARK_REPORTS[fmt]
+
     def test_aggregates_and_writes_json(self, toy_file, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert main(toy_args(toy_file, "--format", "json", "--out", str(out))) == 0
@@ -314,21 +378,24 @@ class TestFeatureTransform:
         assert run_benchmark(cfg) == run_benchmark(cfg)
 
     def test_train_then_predict_with_transform(self, toy_file, tmp_path, capsys):
-        model, preds = tmp_path / "model.txt", tmp_path / "preds.csv"
-        assert main(["train", str(toy_file), "--k", "4", "--lambda2", "10",
+        # on noisy candidates the graph weights move the enrichment, so a graph
+        # that saw the bias column would give another model
+        noisy, model, preds = tmp_path / "noisy.sml", tmp_path / "model.txt", tmp_path / "preds.csv"
+        save(inject_noise(load(toy_file), NoiseConfig(a=100, seed=3)), noisy, "sparse-multilabel")
+        assert main(["train", str(noisy), "--k", "4", "--lambda2", "10",
                      "--standardize-features", "--add-bias", "--out", str(model)]) == 0
-        assert main(["predict", str(model), str(toy_file), "--add-bias",
+        assert main(["predict", str(model), str(noisy), "--add-bias",
                      "--out", str(preds)]) == 0
         capsys.readouterr()
-        raw = load(toy_file)
+        raw = load(noisy)
         W = load_model(model).W
         assert W.shape == (raw.d + 1, raw.l)
         scores, labels = load_predictions(preds)
         assert scores.shape == labels.shape == (raw.n, raw.l)
-        # the graph and the fit both see the transformed features
-        [ds] = transform_features(toy_config(toy_file, standardize_features=True, add_bias=True),
+        # the fit sees the transformed features, the graph those without the bias column
+        [ds] = transform_features(toy_config(noisy, standardize_features=True, add_bias=True),
                                   raw)
-        em = enrich(ds, build_graph(ds.X, KnnConfig(k=4)), PropagationConfig())
+        em = enrich(ds, build_graph(ds.X[:, :-1], KnnConfig(k=4)), PropagationConfig())
         ref, _, _ = fit(ds.X, em.Yhat, ds.Y, TrainerConfig(lambda2=10.0))
         assert W.tobytes() == ref.W.tobytes()
 
