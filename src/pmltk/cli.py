@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Each command builds a ``pipeline.ExperimentConfig`` from its options, so
-a bad setting fails before any file is read. An option that sets a
+Each command but ``predict`` and ``evaluate``, which take only the data
+format, builds a ``pipeline.ExperimentConfig`` from its options, so a
+bad setting fails before any file is read. An option that sets a
 config field is declared once, in ``_OPTIONS``, with the field's default.
 Every option can also be set through an environment variable named
 ``PMLTK_<COMMAND>_<OPTION>`` (click's auto-envvar mechanism), e.g.
@@ -42,7 +43,7 @@ _OPTIONS = {
     "noise": dict(help="Noise percentage a."),
     "lambda2": dict(type=float, help="Fixed ridge weight; skips tuning."),
     "lambda2_grid": dict(callback=_parse_grid),
-    "add_bias": dict(help="Append a constant-1 feature; pass it to predict too."),
+    "add_bias": dict(help="Append a constant-1 feature; the model records it."),
 }
 _DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
 _FIT = ("data_format", "k", "alpha", "lambda1", "lambda2", "lambda2_grid", "cv_folds",
@@ -79,9 +80,8 @@ def cli():
 def inject_noise_cmd(dataset, out, **options):
     """Corrupt ground-truth labels into candidate sets."""
     cfg = ExperimentConfig(dataset=dataset, **options)
-    ds = data.load(cfg.dataset, cfg.data_format)
-    noisy = data.inject_noise(ds, data.NoiseConfig(a=cfg.noise, seed=cfg.seed))
-    data.save(noisy, out, cfg.data_format)
+    noise = data.NoiseConfig(a=cfg.noise, seed=cfg.seed)
+    noisy = data.inject_noise_file(cfg.dataset, out, noise, cfg.data_format)
     click.echo(f"wrote {out} (n={noisy.n}, d={noisy.d}, l={noisy.l}, a={cfg.noise})")
 
 
@@ -109,7 +109,7 @@ def enrich_cmd(dataset, out, **options):
 def train_cmd(dataset, enrichment_path, out, trace_out, **options):
     """Stages 1 and 2: enrich (unless given) and fit the predictor."""
     cfg = ExperimentConfig(dataset=dataset, **options)
-    [ds] = pipeline.transform_features(cfg, data.load(cfg.dataset, cfg.data_format))
+    ds = data.load(cfg.dataset, cfg.data_format)
     em = None if enrichment_path is None else enrichment.load_enrichment(enrichment_path)
     model, trace, lambda2 = pipeline.fit_pipeline(ds, cfg, 0, em)
     if cfg.lambda2 is None:
@@ -124,14 +124,13 @@ def train_cmd(dataset, enrichment_path, out, trace_out, **options):
 @cli.command("predict")
 @click.argument("model", type=click.Path())
 @click.argument("dataset", type=click.Path())
-@_config_options("data_format", "add_bias")
+@_config_options("data_format")
 @click.option("--out", required=True, type=click.Path(), help="Predictions output path.")
-def predict_cmd(model, dataset, out, **options):
-    """Score a dataset with a trained model."""
-    cfg = ExperimentConfig(dataset=dataset, **options)
+def predict_cmd(model, dataset, data_format, out):
+    """Score a dataset with a trained model, through the model's own
+    feature transform."""
     mdl = trainer.load_model(model)
-    [ds] = pipeline.transform_features(cfg, data.load(cfg.dataset, cfg.data_format))
-    scores, labels = trainer.predict(mdl, ds.X)
+    scores, labels = trainer.predict(mdl, data.load(dataset, data_format).X)
     trainer.save_predictions(scores, labels, out)
     click.echo(f"wrote {out} ({scores.shape[0]} x {scores.shape[1]})")
 
@@ -145,8 +144,7 @@ def predict_cmd(model, dataset, out, **options):
 def evaluate_cmd(predictions, dataset, data_format, report_format, out):
     """Score stored predictions against the dataset's ground truth."""
     scores, labels = trainer.load_predictions(predictions)
-    ds = data.load(dataset, data_format)
-    report = metrics.evaluate(scores, labels, ds.Ytruth)
+    report = metrics.evaluate(scores, labels, data.load_truth(dataset, data_format))
     text = (
         metrics.report_to_json(report)
         if report_format == "json"

@@ -11,20 +11,26 @@ start with a ``#n d l`` header line:
 * ``dense-csv``: ``x1,...,xd;y1,...,yl`` per line with binary labels,
   optionally followed by a third ``;t1,...,tl`` ground-truth block.
 
-``load`` parses a dense file in one C-level pass (``np.loadtxt``) when
-every row has the expected blocks, binary labels and a candidate, and
-otherwise runs one loop over the rows, with one row parser per format;
-either every row carries a ground-truth block or none does. A bad row
-raises an error that names its line of the file. ``_as_binary`` is the
-one 0/1 check on label matrices: datasets, the metrics and the
-prediction reader all go through it.
+``load`` is ``read_table`` followed by one parse of its rows
+(``_parse``): a dense file goes through one C-level pass
+(``np.loadtxt``) when every row has the expected blocks, binary labels
+and a candidate, and otherwise through one loop over the rows, with one
+row parser per format; either every row carries a ground-truth block or
+none does. A bad row raises an error that names its line of the file.
+``load_truth`` runs the same parse on the label blocks alone.
+``inject_noise_file`` parses its input as ``load`` does and writes each
+row's own feature text back with the new label blocks, formatted as
+``save`` formats them. ``_as_binary`` is the one 0/1 check on label
+matrices: datasets, the metrics and the prediction reader all go
+through it, and ``_check_label_sets`` holds the rules on label sets
+that ``Dataset`` and ``load_truth`` share.
 
 Floats are serialized with ``repr`` so save followed by load restores
 every matrix bit-exactly. The enrichment, model and prediction files
 share the ``#header`` + rows layout: ``read_table`` reads all of them,
 ``parse_float_rows`` parses their float rows in one C-level pass, with
 the row loop (``parse_float_row``) as the error path, and
-``write_lines`` writes every file pmltk produces.
+``write_lines`` writes every file pmltk produces, one line at a time.
 
 Randomness uses numpy's PCG64 generator, so seeded operations are
 reproducible across platforms. Datasets are immutable by convention:
@@ -33,6 +39,7 @@ no operation mutates an existing instance.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -68,6 +75,30 @@ def _as_binary(M, name, lines=None):
     return M.astype(np.int8)
 
 
+def _check_label_sets(Y, Ytruth):
+    """The label rules of a ``Dataset`` on its 0/1 int8 matrix ``Y``: every
+    row carries at least one and at most l-1 candidates, and ``Ytruth``,
+    when given, is a 0/1 matrix of ``Y``'s shape that ``Y`` covers.
+    Returns ``Ytruth`` as int8 (or None). ``Dataset`` and ``load_truth``
+    both run them."""
+    l = Y.shape[1]
+    sums = Y.sum(axis=1)
+    if (sums < 1).any():
+        i = int(np.argmin(sums))
+        raise ValidationError(f"instance {i} has an empty candidate label set")
+    if (sums > l - 1).any():
+        i = int(np.argmax(sums))
+        raise ValidationError(f"instance {i} carries all {l} labels; at most l-1 are allowed")
+    if Ytruth is None:
+        return None
+    Yt = _as_binary(Ytruth, "Ytruth")
+    if Yt.shape != Y.shape:
+        raise ValidationError(f"Ytruth shape {Yt.shape} does not match Y shape {Y.shape}")
+    if (Yt > Y).any():
+        raise ValidationError("Ytruth must be covered by Y elementwise")
+    return Yt
+
+
 @dataclass(frozen=True)
 class Dataset:
     """A (partial) multi-label dataset.
@@ -96,27 +127,9 @@ class Dataset:
         l = Y.shape[1]
         if n == 0 or d == 0 or l == 0:
             raise ValidationError(f"dimensions must be positive, got n={n} d={d} l={l}")
-        sums = Y.sum(axis=1)
-        if (sums < 1).any():
-            i = int(np.argmin(sums))
-            raise ValidationError(f"instance {i} has an empty candidate label set")
-        if (sums > l - 1).any():
-            i = int(np.argmax(sums))
-            raise ValidationError(
-                f"instance {i} carries all {l} labels; at most l-1 are allowed"
-            )
-        Yt = self.Ytruth
-        if Yt is not None:
-            Yt = _as_binary(Yt, "Ytruth")
-            if Yt.shape != Y.shape:
-                raise ValidationError(
-                    f"Ytruth shape {Yt.shape} does not match Y shape {Y.shape}"
-                )
-            if (Yt > Y).any():
-                raise ValidationError("Ytruth must be covered by Y elementwise")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
-        object.__setattr__(self, "Ytruth", Yt)
+        object.__setattr__(self, "Ytruth", _check_label_sets(Y, self.Ytruth))
 
     @property
     def n(self) -> int:
@@ -164,16 +177,18 @@ class SplitSpec:
             )
 
 
-def read_table(path, kind: str, fields: str, floats: int = 0):
+def read_table(path, kind: str, fields, floats: int = 0):
     """Read a pmltk text file: a ``#<fields>`` header line, then one row
     per non-blank line.
 
-    All header fields but the last ``floats`` are dimensions and must be
-    positive integers; the first one is the row count, checked against
-    the file. Returns the header values and the rows as
-    ``(lineno, stripped line)`` pairs, where ``lineno`` is the 1-based
-    line of the file, so blank lines do not shift it. A file that
-    cannot be read raises ``DataError`` naming ``kind`` and ``path``.
+    ``fields`` may also be a tuple of header layouts with distinct field
+    counts; the header follows the one with its count. All header fields
+    but the last ``floats`` are dimensions and must be positive integers;
+    the first one is the row count, checked against the file. Returns
+    the header values and the rows as ``(lineno, stripped line)`` pairs,
+    where ``lineno`` is the 1-based line of the file, so blank lines do
+    not shift it. A file that cannot be read raises ``DataError`` naming
+    ``kind`` and ``path``.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -181,8 +196,9 @@ def read_table(path, kind: str, fields: str, floats: int = 0):
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {kind} {path}: {exc}") from None
     parts = raw[0].strip().lstrip("#").split()
-    if not raw[0].startswith("#") or len(parts) != len(fields.split()):
-        raise ParseError(f"expected header '#{fields}'", line=1)
+    layouts = (fields,) if isinstance(fields, str) else fields
+    if not raw[0].startswith("#") or len(parts) not in [len(f.split()) for f in layouts]:
+        raise ParseError("expected header " + " or ".join(f"'#{f}'" for f in layouts), line=1)
     ndims = len(parts) - floats
     try:
         dims = [int(p) for p in parts[:ndims]]
@@ -255,12 +271,19 @@ def csv_rows(M):
 def write_lines(path, kind: str, lines) -> None:
     """Write ``lines`` to ``path`` as UTF-8, each ended by an LF.
 
-    Every file pmltk writes goes through here. A path that cannot be
-    written raises ``DataError`` naming ``kind`` and ``path``.
+    Every file pmltk writes goes through here. ``lines`` may be any
+    iterable; it is written one line at a time, so a generator's text is
+    never held whole. The bytes are those of ``"\\n".join(lines) + "\\n"``,
+    so no lines still write one LF. A path that cannot be written raises
+    ``DataError`` naming ``kind`` and ``path``.
     """
+    lines = iter(lines)
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines))
+            fh.write(next(lines, ""))
+            for line in lines:
+                fh.write("\n")
+                fh.write(line)
             fh.write("\n")
     except OSError as exc:
         raise DataError(f"cannot write {kind} {path}: {exc}") from None
@@ -281,35 +304,39 @@ def _parse_label_list(text: str, l: int, lineno: int, what: str) -> list[int]:
     return out
 
 
-def _sparse_row(line, lineno, x, y, t) -> bool:
+def _sparse_row(line, lineno, x, y, t, features=True) -> bool:
     """Fill one instance's rows from ``L_cand[|L_truth] f:v ...``; returns
-    whether the line carries a truth block."""
-    labels, *pairs = line.split()
+    whether the line carries a truth block. Without ``features`` only the
+    label token is read."""
+    labels, *rest = line.split(None, 1)
     cand_txt, with_truth, truth_txt = labels.partition("|")
     y[_parse_label_list(cand_txt, len(y), lineno, "candidate")] = 1
     if with_truth:
         t[_parse_label_list(truth_txt, len(t), lineno, "ground-truth")] = 1
-    for pair in pairs:
-        f, _, v = pair.partition(":")
-        try:
-            fi, fv = int(f), float(v)  # a pair without ':' leaves v empty
-        except ValueError:
-            raise ParseError(f"bad feature pair {pair!r}", line=lineno) from None
-        if not 0 <= fi < len(x):
-            raise RangeError(f"feature index {fi} out of range [0,{len(x)})", line=lineno)
-        x[fi] = fv
+    if features:
+        for pair in rest[0].split() if rest else ():
+            f, _, v = pair.partition(":")
+            try:
+                fi, fv = int(f), float(v)  # a pair without ':' leaves v empty
+            except ValueError:
+                raise ParseError(f"bad feature pair {pair!r}", line=lineno) from None
+            if not 0 <= fi < len(x):
+                raise RangeError(f"feature index {fi} out of range [0,{len(x)})", line=lineno)
+            x[fi] = fv
     return bool(with_truth)
 
 
-def _dense_row(line, lineno, x, y, t) -> bool:
+def _dense_row(line, lineno, x, y, t, features=True) -> bool:
     """Fill one instance's rows from ``x1,...;y1,...[;t1,...]``; returns
-    whether the line carries a truth block."""
+    whether the line carries a truth block. Without ``features`` the
+    feature block is not read."""
     blocks = line.split(";")
     if len(blocks) not in (2, 3):
         raise ParseError(
             f"expected 2 or 3 ';'-separated blocks, got {len(blocks)}", line=lineno
         )
-    x[:] = parse_float_row(blocks[0], len(x), lineno, "feature")
+    if features:
+        x[:] = parse_float_row(blocks[0], len(x), lineno, "feature")
     for target, text, what in zip((y, t), blocks[1:], ("candidate", "ground-truth")):
         row = np.array(parse_float_row(text, len(target), lineno, what + " label"))
         bad = (row != 0) & (row != 1)
@@ -321,27 +348,65 @@ def _dense_row(line, lineno, x, y, t) -> bool:
     return len(blocks) == 3
 
 
-def _load_dense(rows, d, l) -> Optional[Dataset]:
-    """The dense rows in one C-level pass, or None when a row needs the
-    row loop: blocks other than the first row's (``d`` features and one or
-    two blocks of ``l`` labels), a value ``np.loadtxt`` rejects, a label
-    other than 0 or 1, or an empty candidate set. The loop then raises
-    the error of the first bad row, or reads what only ``float()`` takes."""
-    blocks = rows[0][1].count(";") + 1
-    want = [d - 1, l - 1, l - 1][:blocks]
-    if blocks < 2 or any([b.count(",") for b in line.split(";")] != want for _, line in rows):
+def _dense_pass(rows, d, l, features=True):
+    """``(X, Y, T)`` of the dense rows in one C-level pass, or None when a
+    row needs the row loop: blocks other than the first row's (``d``
+    features and one or two blocks of ``l`` labels), a value
+    ``np.loadtxt`` rejects, a label other than 0 or 1, or an empty
+    candidate set. The loop then raises the error of the first bad row,
+    or reads what only ``float()`` takes. Without ``features`` only the
+    text after each row's first ``;`` is parsed, and X is None."""
+    if features:
+        texts, widths = [line for _, line in rows], [d]
+    else:
+        texts, widths = [line.partition(";")[2] for _, line in rows], []
+    label_blocks = texts[0].count(";") + 1 - len(widths)
+    widths += [l] * label_blocks
+    if label_blocks not in (1, 2) or any(
+        [b.count(",") + 1 for b in text.split(";")] != widths for text in texts
+    ):
         return None
-    M = _loadtxt((line.replace(";", ",") for _, line in rows), (len(rows), d + (blocks - 1) * l))
+    M = _loadtxt((text.replace(";", ",") for text in texts), (len(texts), sum(widths)))
     if M is None:
         return None
-    labels = M[:, d:]
+    labels = M[:, d:] if features else M
     if ((labels != 0) & (labels != 1)).any():
         return None
     Y = labels[:, :l].astype(np.int8)
     if not Y.any(axis=1).all():
         return None
-    T = labels[:, l:].astype(np.int8) if blocks == 3 else Y.copy()
-    return Dataset(np.ascontiguousarray(M[:, :d]), Y, T)
+    T = labels[:, l:].astype(np.int8) if labels.shape[1] > l else Y.copy()
+    return (np.ascontiguousarray(M[:, :d]) if features else None), Y, T
+
+
+def _parse(rows, d, l, format, features=True):
+    """``(X, Y, T)`` of the dataset rows (``read_table``'s), in one C-level
+    pass when the rows are dense and clean, otherwise by one loop over
+    the rows, with one row parser per format; either every row carries
+    a ground-truth block or none does, and a plain file gives ``T = Y``.
+    Without ``features`` only the label blocks are read and X is None."""
+    if format == DENSE_FORMAT:
+        parsed = _dense_pass(rows, d, l, features)
+        if parsed is not None:
+            return parsed
+    parse_row = _sparse_row if format == SPARSE_FORMAT else _dense_row
+    X = np.zeros((len(rows), d if features else 0), dtype=np.float64)
+    Y = np.zeros((len(rows), l), dtype=np.int8)
+    T = np.zeros((len(rows), l), dtype=np.int8)
+    for i, (lineno, line) in enumerate(rows):
+        with_truth = parse_row(line, lineno, X[i], Y[i], T[i], features)
+        if i == 0:
+            has_truth = with_truth
+        elif with_truth != has_truth:
+            raise ParseError(
+                "mixed rows: some carry a ground-truth block and some do not", line=lineno
+            )
+    return (X if features else None), Y, (T if has_truth else Y.copy())
+
+
+def _check_format(format: str) -> None:
+    if format not in FORMATS:
+        raise ConfigError(f"unknown dataset format {format!r}; expected one of {FORMATS}")
 
 
 def load(path, format: str = SPARSE_FORMAT) -> Dataset:
@@ -354,49 +419,71 @@ def load(path, format: str = SPARSE_FORMAT) -> Dataset:
     parsed in one C-level pass; the row loop runs when that pass cannot
     take every row as it is, so a bad row fails as it does there.
     """
-    if format not in FORMATS:
-        raise ConfigError(f"unknown dataset format {format!r}; expected one of {FORMATS}")
+    _check_format(format)
     (n, d, l), rows = read_table(path, "dataset", "n d l")
-    if format == DENSE_FORMAT:
-        ds = _load_dense(rows, d, l)
-        if ds is not None:
-            return ds
-    parse_row = _sparse_row if format == SPARSE_FORMAT else _dense_row
-    X = np.zeros((n, d), dtype=np.float64)
-    Y = np.zeros((n, l), dtype=np.int8)
-    T = np.zeros((n, l), dtype=np.int8)
-    for i, (lineno, line) in enumerate(rows):
-        with_truth = parse_row(line, lineno, X[i], Y[i], T[i])
-        if i == 0:
-            has_truth = with_truth
-        elif with_truth != has_truth:
-            raise ParseError(
-                "mixed rows: some carry a ground-truth block and some do not", line=lineno
-            )
-    return Dataset(X, Y, T if has_truth else Y.copy())
+    return Dataset(*_parse(rows, d, l, format))
+
+
+def load_truth(path, format: str = SPARSE_FORMAT) -> np.ndarray:
+    """``load(path, format).Ytruth``, read from the label blocks alone.
+
+    The features are not parsed, so a bad feature value goes unnoticed;
+    the header, the blocks of every row and the labels get the checks and
+    errors of ``load``, and the label sets those of ``Dataset``.
+    """
+    _check_format(format)
+    (n, d, l), rows = read_table(path, "dataset", "n d l")
+    _, Y, T = _parse(rows, d, l, format, features=False)
+    return _check_label_sets(Y, T)
+
+
+def _label_blocks(ds: Dataset, format: str):
+    """Each row's label text as ``save`` writes it: ``L_cand[|L_truth]``
+    in the sparse format, ``y1,...,yl[;t1,...,tl]`` in the dense one."""
+    mats = [ds.Y] if ds.Ytruth is None else [ds.Y, ds.Ytruth]
+    if format == SPARSE_FORMAT:
+        indices = ((",".join(map(repr, np.flatnonzero(row).tolist())) for row in M) for M in mats)
+        return map("|".join, zip(*indices))
+    return map(";".join, zip(*map(csv_rows, mats)))
 
 
 def save(ds: Dataset, path, format: str = SPARSE_FORMAT) -> None:
     """Write ``ds`` to ``path``; the ground-truth block is emitted whenever
     ``Ytruth`` is present, so noisy datasets round-trip losslessly."""
-    if format not in FORMATS:
-        raise ConfigError(f"unknown dataset format {format!r}; expected one of {FORMATS}")
+    _check_format(format)
     lines = [f"#{ds.n} {ds.d} {ds.l}"]
+    labels = _label_blocks(ds, format)
     if format == SPARSE_FORMAT:
-        for i in range(ds.n):
-            cand = ",".join(map(repr, np.flatnonzero(ds.Y[i]).tolist()))
-            if ds.Ytruth is not None:
-                cand += "|" + ",".join(map(repr, np.flatnonzero(ds.Ytruth[i]).tolist()))
+        for i, cand in enumerate(labels):
             # negative zeros are stored explicitly to keep round-trips bit-exact
             cols = np.flatnonzero((ds.X[i] != 0.0) | np.signbit(ds.X[i]))
             feats = " ".join(map("{}:{!r}".format, cols.tolist(), ds.X[i, cols].tolist()))
             lines.append(cand + (" " + feats if feats else ""))
     else:
-        blocks = [csv_rows(ds.X), csv_rows(ds.Y)]
-        if ds.Ytruth is not None:
-            blocks.append(csv_rows(ds.Ytruth))
-        lines += map(";".join, zip(*blocks))
+        lines += map(";".join, zip(csv_rows(ds.X), labels))
     write_lines(path, "dataset", lines)
+
+
+def inject_noise_file(path, out, cfg: NoiseConfig, format: str = SPARSE_FORMAT) -> Dataset:
+    """``inject_noise`` on the dataset file ``path``, written to ``out``.
+
+    The input gets every check of ``load``. Each output row is the input
+    row's own feature text, kept as read (in the dense format the text
+    before the first ``;``, in the sparse one the text after the label
+    token), with the new label blocks as ``save`` writes them. So ``out``
+    loads back to the returned dataset, while its float text is the
+    input's, not ``repr``'s. Returns the noisy dataset.
+    """
+    _check_format(format)
+    (n, d, l), rows = read_table(path, "dataset", "n d l")
+    noisy = inject_noise(Dataset(*_parse(rows, d, l, format)), cfg)
+    labels = _label_blocks(noisy, format)
+    if format == SPARSE_FORMAT:
+        lines = (" ".join([lab, *line.split(None, 1)[1:]]) for lab, (_, line) in zip(labels, rows))
+    else:
+        lines = (line.partition(";")[0] + ";" + lab for lab, (_, line) in zip(labels, rows))
+    write_lines(out, "dataset", itertools.chain([f"#{n} {d} {l}"], lines))
+    return noisy
 
 
 def inject_noise(ds: Dataset, cfg: NoiseConfig) -> Dataset:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .enrichment import EnrichmentMatrix, PropagationConfig, enrich
 from .errors import ConfigError, DataError, PmltkError
 from .graph import KnnConfig, build_graph
 from .metrics import METRIC_NAMES, MetricsReport, aggregate, evaluate
-from .trainer import TrainerConfig, fit, predict
+from .trainer import FeatureTransform, TrainerConfig, fit, predict
 
 _log = logging.getLogger(__name__)
 
@@ -107,22 +107,31 @@ def derive_seed(master: int, *path: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def transform_features(cfg: ExperimentConfig, train: Dataset, *others: Dataset) -> list[Dataset]:
-    """``train`` and ``others`` with the feature transform ``cfg`` asks for,
-    fitted on ``train`` alone: z-scores on the training mean and std
-    (constant columns are centred, not scaled), then a constant-1 column
-    appended last. Without either setting the sets come back as given."""
+def feature_transform(cfg: ExperimentConfig, train: Dataset) -> FeatureTransform | None:
+    """The feature transform ``cfg`` asks for, fitted on ``train`` alone:
+    z-scores on the training mean and std (constant columns are centred,
+    not scaled), then a constant-1 column appended last. None without
+    either setting."""
+    if not (cfg.standardize_features or cfg.add_bias):
+        return None
     if cfg.standardize_features:
-        mu = train.X.mean(axis=0)
-        sigma = train.X.std(axis=0)
-        sigma = np.where(sigma < 1e-12, 1.0, sigma)
-    out = []
-    for ds in (train, *others):
-        X = (ds.X - mu) / sigma if cfg.standardize_features else ds.X
-        if cfg.add_bias:
-            X = np.hstack([X, np.ones((ds.n, 1))])
-        out.append(ds if X is ds.X else Dataset(X, ds.Y, ds.Ytruth))
-    return out
+        mean, scale = train.X.mean(axis=0), train.X.std(axis=0)
+        scale = np.where(scale < 1e-12, 1.0, scale)
+    else:
+        mean, scale = np.zeros(train.d), np.ones(train.d)
+    return FeatureTransform(mean, scale, cfg.add_bias)
+
+
+def _transformed(transform: FeatureTransform | None, sets) -> list[Dataset]:
+    if transform is None:
+        return list(sets)
+    return [Dataset(transform.apply(ds.X), ds.Y, ds.Ytruth) for ds in sets]
+
+
+def transform_features(cfg: ExperimentConfig, train: Dataset, *others: Dataset) -> list[Dataset]:
+    """``train`` and ``others`` through ``feature_transform(cfg, train)``;
+    without a transform the sets come back as given."""
+    return _transformed(feature_transform(cfg, train), (train, *others))
 
 
 def _fold_indices(n: int, folds: int, seed: int) -> list[np.ndarray]:
@@ -196,17 +205,22 @@ def _stage(name: str):
 
 def fit_pipeline(train: Dataset, cfg: ExperimentConfig, split_index: int,
                  enrichment: EnrichmentMatrix | None = None):
-    """Both stages on a training set: select lambda2 (``select_lambda2``),
-    enrich (``enrich_dataset``, unless ``enrichment`` is given), then fit.
+    """Both stages on a training set: fit the feature transform
+    (``feature_transform``) and apply it, select lambda2
+    (``select_lambda2``), enrich (``enrich_dataset``, unless
+    ``enrichment`` is given), then fit.
 
     The cross-validation folds are seeded from ``cfg.seed`` and
     ``split_index``. Returns ``(model, trace, lambda2)``, where ``trace``
-    is the objective trace of the fit.
+    is the objective trace of the fit and ``model`` carries the
+    transform, so ``predict`` takes features as ``train`` holds them.
     """
     if enrichment is not None and (enrichment.n, enrichment.l) != (train.n, train.l):
         raise DataError(
             f"enrichment is {enrichment.n} x {enrichment.l} but dataset is {train.n} x {train.l}"
         )
+    transform = feature_transform(cfg, train)
+    [train] = _transformed(transform, [train])
     with _stage("lambda2 selection"):
         lam2 = select_lambda2(train, cfg, derive_seed(cfg.seed, _STAGE_CV, split_index))
     if enrichment is None:
@@ -214,7 +228,7 @@ def fit_pipeline(train: Dataset, cfg: ExperimentConfig, split_index: int,
             enrichment = enrich_dataset(train, cfg)
     with _stage("training"):
         model, _, trace = fit(train.X, enrichment.Yhat, train.Y, cfg.trainer_config(lam2))
-    return model, trace, lam2
+    return replace(model, transform=transform), trace, lam2
 
 
 @single_threaded
@@ -230,7 +244,7 @@ def run_splits(cfg: ExperimentConfig) -> tuple[list[MetricsReport], list[float]]
         try:
             with _stage("split"):
                 spec = SplitSpec(cfg.split_fraction, derive_seed(cfg.seed, _STAGE_SPLIT, i))
-                train, test = transform_features(cfg, *split(noisy, spec))
+                train, test = split(noisy, spec)
             model, _, lam2 = fit_pipeline(train, cfg, i)
             with _stage("evaluation"):
                 report = evaluate(*predict(model, test.X), test.Ytruth)

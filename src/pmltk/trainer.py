@@ -94,12 +94,31 @@ class TrainerState:
 
 
 @dataclass(frozen=True)
+class FeatureTransform:
+    """The feature transform a model was trained with: z-scores
+    ``(X - mean) / scale`` on training statistics, then, with ``bias``, a
+    constant-1 column appended last. Without standardization ``mean`` is
+    0 and ``scale`` is 1, which leave every float as it is."""
+
+    mean: np.ndarray
+    scale: np.ndarray
+    bias: bool
+
+    def apply(self, X) -> np.ndarray:
+        X = (np.asarray(X, dtype=np.float64) - self.mean) / self.scale
+        return np.hstack([X, np.ones((X.shape[0], 1))]) if self.bias else X
+
+
+@dataclass(frozen=True)
 class Model:
-    """Trained d x l linear predictor ``W`` and the weights it was fit with."""
+    """Trained d x l linear predictor ``W``, the weights it was fit with
+    and the ``FeatureTransform`` its training features went through, if
+    any; ``predict`` applies it to the features it is given."""
 
     W: np.ndarray
     lambda1: float
     lambda2: float
+    transform: FeatureTransform | None = None
 
 
 def nuclear_norm(M) -> float:
@@ -205,7 +224,8 @@ class RidgeSolver:
         self.X = X
         self.lam = lam
         self.dual = lam > 0 and n < d
-        G = X @ X.T if self.dual else X.T @ X
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails just below
+            G = X @ X.T if self.dual else X.T @ X
         G[np.diag_indices_from(G)] += lam
         try:
             self.factor = cho_factor(G, lower=True)
@@ -290,13 +310,18 @@ def fit(X, Yhat, Y, cfg: TrainerConfig = TrainerConfig()):
 
 @single_threaded
 def predict(model: Model, X_test):
-    """Scores ``X_test @ W`` and binary labels at the 0.5 threshold (inclusive)."""
+    """Scores ``X_test @ W`` and binary labels at the 0.5 threshold
+    (inclusive). A model with a transform applies it to ``X_test`` first,
+    so ``X_test`` holds the features as they were before training."""
     X_test = np.asarray(X_test, dtype=np.float64)
-    d = model.W.shape[0]
+    t = model.transform
+    d = model.W.shape[0] if t is None else t.mean.shape[0]
     if X_test.ndim != 2 or X_test.shape[1] != d:
         raise ShapeError(
             f"test features have {X_test.shape[1] if X_test.ndim == 2 else '?'} columns, model expects {d}"
         )
+    if t is not None:
+        X_test = t.apply(X_test)
     if not np.isfinite(X_test).all():
         raise NumericError("non-finite test features")
     scores = X_test @ model.W
@@ -304,19 +329,50 @@ def predict(model: Model, X_test):
     return scores, labels
 
 
+# The two model file versions, told apart by their header's field count.
+_MODEL_V1 = "d l lambda1 lambda2"
+_MODEL_V2 = "rows features d l lambda1 lambda2"
+
+
 def save_model(model: Model, path) -> None:
     """Persist as a ``#d l lambda1 lambda2`` header, with ``d l`` taken from
-    ``W``'s shape, plus dense CSV rows of W."""
+    ``W``'s shape, plus dense CSV rows of W (version 1).
+
+    A model with a transform is written as version 2: a
+    ``#rows features d l lambda1 lambda2`` header, the transform's mean
+    and scale rows over the ``features`` input columns, then W; ``d`` is
+    ``features + 1`` when the bias column is appended, and ``rows`` is
+    ``d + 2``.
+    """
     W = np.asarray(model.W, dtype=np.float64)
-    header = f"#{W.shape[0]} {W.shape[1]} {float(model.lambda1)!r} {float(model.lambda2)!r}"
-    write_lines(path, "model", [header, *csv_rows(W)])
+    header = f"{W.shape[0]} {W.shape[1]} {float(model.lambda1)!r} {float(model.lambda2)!r}"
+    t = model.transform
+    if t is None:
+        write_lines(path, "model", ["#" + header, *csv_rows(W)])
+    else:
+        header = f"#{W.shape[0] + 2} {t.mean.shape[0]} {header}"
+        write_lines(path, "model", [header, *csv_rows([t.mean, t.scale]), *csv_rows(W)])
 
 
 def load_model(path) -> Model:
-    """Read a ``save_model`` file; the rows of W are parsed in one C-level
-    pass, with the row loop as the error path (``parse_float_rows``)."""
-    (d, l, lambda1, lambda2), rows = read_table(path, "model", "d l lambda1 lambda2", floats=2)
-    return Model(parse_float_rows(rows, l, "W"), lambda1, lambda2)
+    """Read a ``save_model`` file of either version; the float rows are
+    parsed in one C-level pass, with the row loop as the error path
+    (``parse_float_rows``)."""
+    header, rows = read_table(path, "model", (_MODEL_V1, _MODEL_V2), floats=2)
+    if len(header) == 4:
+        d, l, lambda1, lambda2 = header
+        return Model(parse_float_rows(rows, l, "W"), lambda1, lambda2)
+    _, m, d, l, lambda1, lambda2 = header
+    if d - m not in (0, 1) or len(rows) != d + 2:
+        raise ParseError(
+            f"a version-2 model needs d = features or features + 1 and rows = d + 2, "
+            f"got rows={len(rows)} features={m} d={d}", line=1
+        )
+    mean, scale = parse_float_rows(rows[:2], m, "transform")
+    if not (scale > 0).all():
+        raise ParseError("transform scale values must be positive", line=rows[1][0])
+    return Model(parse_float_rows(rows[2:], l, "W"), lambda1, lambda2,
+                 FeatureTransform(mean, scale, d > m))
 
 
 def save_predictions(scores, labels, path) -> None:

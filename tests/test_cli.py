@@ -2,6 +2,10 @@
 paths that the other tests do not reach."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import click
 import numpy as np
@@ -34,7 +38,7 @@ FLAGS = {
         "--standardize-features": False, "--add-bias": False, "--out": REQUIRED,
         "--trace-out": None,
     },
-    "predict": {"--data-format": "sparse-multilabel", "--add-bias": False, "--out": REQUIRED},
+    "predict": {"--data-format": "sparse-multilabel", "--out": REQUIRED},
     "evaluate": {"--data-format": "sparse-multilabel", "--format": "json", "--out": None},
     "benchmark": {
         "--noise": 100, "--splits": 5, "--split-fraction": 0.5,
@@ -182,3 +186,143 @@ def test_overflowing_features_exit_3(tmp_path, capsys, route, line):
     [err] = capsys.readouterr().err.splitlines()
     assert err.startswith(line)
     assert not (tmp_path / "model.txt").exists()
+
+
+@pytest.mark.parametrize("route", ["enrichment", "graph"])
+def test_overflowing_features_one_stderr_line(tmp_path, route):
+    # in a child process, so numpy's RuntimeWarnings would reach its stderr
+    X = np.random.default_rng(0).normal(size=(20, 30)) * 1e200
+    Y = np.eye(4, dtype=np.int8)[np.arange(20) % 4]
+    data_file, yhat = tmp_path / "big.sml", tmp_path / "yhat.csv"
+    save(Dataset(X, Y), data_file, "sparse-multilabel")
+    save_enrichment(EnrichmentMatrix(Y.astype(np.float64)), yhat)
+    stage1 = ["--enrichment", str(yhat)] if route == "enrichment" else ["--k", "3"]
+    src = str(Path(pmltk.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-m", "pmltk.cli", "train", str(data_file), *stage1,
+                          "--lambda2", "10", "--out", str(tmp_path / "model.txt")],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 3
+    [err] = run.stderr.splitlines()
+    assert err.startswith("error: ")
+
+
+# Inputs that inject-noise must write back with their own feature text:
+# (format, file text, the output for --noise 0, which adds no label).
+KEEPS_FEATURE_TEXT = {
+    "sparse-spacing": (
+        "sparse-multilabel",
+        "#3 3 3\n0 0:1_0\t2:-0.0\n\n1  1:0.5   1:0.25\r\n2\n",
+        "#3 3 3\n0|0 0:1_0\t2:-0.0\n1|1 1:0.5   1:0.25\n2|2\n",
+    ),
+    "sparse-truth": (
+        "sparse-multilabel",
+        "#2 3 3\r\n0,1|0 0:0.1000\r\n\r\n1,2|2 2:-1e-3\r\n",
+        "#2 3 3\n0|0 0:0.1000\n2|2 2:-1e-3\n",
+    ),
+    "dense-crlf": (
+        "dense-csv",
+        "#2 3 3\r\n0.1000,-0.0,1_0;1,0,0\r\n\r\n  2.50,0,1e-3;0,1,0  \r\n",
+        "#2 3 3\n0.1000,-0.0,1_0;1,0,0;1,0,0\n2.50,0,1e-3;0,1,0;0,1,0\n",
+    ),
+    "dense-truth": (
+        "dense-csv",
+        "#2 3 3\n0.1,0.2,0.3;1,1,0;1,0,0\n0.4,0.5,0.6;0,1,1;0,0,1\n",
+        "#2 3 3\n0.1,0.2,0.3;1,0,0;1,0,0\n0.4,0.5,0.6;0,0,1;0,0,1\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KEEPS_FEATURE_TEXT))
+@pytest.mark.parametrize("noise, seed", [(0, 0), (100, 3), (300, 5)])
+def test_inject_noise_keeps_feature_text(tmp_path, capsys, case, noise, seed):
+    fmt, text, quiet = KEEPS_FEATURE_TEXT[case]
+    src, out = tmp_path / "in.txt", tmp_path / "out.txt"
+    src.write_bytes(text.encode())
+    assert main(["inject-noise", str(src), "--data-format", fmt, "--noise", str(noise),
+                 "--seed", str(seed), "--out", str(out)]) == 0
+    capsys.readouterr()
+    want = pmltk.inject_noise(load(src, fmt), pmltk.NoiseConfig(a=noise, seed=seed))
+    back = load(out, fmt)
+    assert back.X.tobytes() == want.X.tobytes()
+    assert back.Y.tobytes() == want.Y.tobytes()
+    assert back.Ytruth.tobytes() == want.Ytruth.tobytes()
+    if noise == 0:
+        assert out.read_bytes() == quiet.encode()
+
+
+def test_inject_noise_round_trips_random_data(tmp_path, capsys):
+    for fmt in ("sparse-multilabel", "dense-csv"):
+        src, out = tmp_path / "in.txt", tmp_path / "out.txt"
+        save(clustered_dataset(n=50, d=6, l=5, seed=3), src, fmt)
+        assert main(["inject-noise", str(src), "--data-format", fmt, "--seed", "9",
+                     "--out", str(out)]) == 0
+        want = pmltk.inject_noise(load(src, fmt), pmltk.NoiseConfig(a=100, seed=9))
+        back = load(out, fmt)
+        assert back.X.tobytes() == want.X.tobytes()
+        assert (back.Y == want.Y).all() and (back.Ytruth == want.Ytruth).all()
+    capsys.readouterr()
+
+
+# Bad inputs with the exit code and stderr line that reading the whole file
+# with data.load gives.
+BAD_DATASETS = {
+    ("dense-csv", "header"): ("#2 2\n0.1,0.2;1,0\n0.3,0.4;0,1\n",
+                              "error: line 1: expected header '#n d l'"),
+    ("dense-csv", "feature"): ("#2 2 2\n\n0.1,0.2;1,0\n0.3,x;0,1\n",
+                               "error: line 4: bad feature value: could not convert string to "
+                               "float: 'x'"),
+    ("dense-csv", "label"): ("#2 2 2\n0.1,0.2;1,0\n0.3,0.4;0.5,1\n",
+                             "error: line 3: candidate labels must be 0 or 1, got 0.5"),
+    ("dense-csv", "empty"): ("#2 2 2\n0.1,0.2;1,0\n0.3,0.4;0,0\n",
+                             "error: line 3: empty candidate label set"),
+    ("dense-csv", "mixed"): ("#2 2 2\n0.1,0.2;1,0;1,0\n0.3,0.4;0,1\n",
+                             "error: line 3: mixed rows: some carry a ground-truth block and "
+                             "some do not"),
+    ("sparse-multilabel", "header"): ("#2 2 2 2\n0 0:0.5\n1 1:0.5\n",
+                                      "error: line 1: expected header '#n d l'"),
+    ("sparse-multilabel", "feature"): ("#2 2 2\n0 0:0.5\n1 1:x\n",
+                                       "error: line 3: bad feature pair '1:x'"),
+    ("sparse-multilabel", "label"): ("#2 2 2\n0 0:0.5\nx 1:0.5\n",
+                                     "error: line 3: bad label index 'x'"),
+    ("sparse-multilabel", "empty"): ("#2 2 2\n0 0:0.5\n|1 1:0.5\n",
+                                     "error: line 3: empty candidate label set"),
+    ("sparse-multilabel", "mixed"): ("#2 3 3\n0|0 0:0.5\n1 1:0.5\n",
+                                     "error: line 3: mixed rows: some carry a ground-truth block "
+                                     "and some do not"),
+}
+
+
+@pytest.mark.parametrize("fmt, what", sorted(BAD_DATASETS))
+def test_inject_noise_bad_input(tmp_path, capsys, fmt, what):
+    text, line = BAD_DATASETS[fmt, what]
+    src, out = tmp_path / "in.txt", tmp_path / "out.txt"
+    src.write_text(text)
+    assert main(["inject-noise", str(src), "--data-format", fmt, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt, what", sorted(k for k in BAD_DATASETS if k[1] != "feature"))
+def test_evaluate_bad_labels(tmp_path, capsys, fmt, what):
+    text, line = BAD_DATASETS[fmt, what]
+    src, preds = tmp_path / "in.txt", tmp_path / "preds.csv"
+    src.write_text(text)
+    preds.write_text("#2 2\n0.1,0.2;1,0\n0.3,0.4;0,1\n")
+    assert main(["evaluate", str(preds), str(src), "--data-format", fmt]) == 2
+    assert capsys.readouterr().err.splitlines() == [line]
+
+
+@pytest.mark.parametrize("fmt", ["dense-csv", "sparse-multilabel"])
+def test_evaluate_reads_only_label_blocks(tmp_path, capsys, fmt):
+    # evaluate uses the ground truth alone, so a bad feature value does not fail it
+    bad_text, _ = BAD_DATASETS[fmt, "feature"]
+    good_text = bad_text.replace("0.3,x", "0.3,0.4").replace("1:x", "1:0.5")
+    preds, bad, good = tmp_path / "preds.csv", tmp_path / "bad.txt", tmp_path / "good.txt"
+    preds.write_text("#2 2\n0.1,0.2;1,0\n0.3,0.4;0,1\n")
+    bad.write_text(bad_text)
+    good.write_text(good_text)
+    assert main(["evaluate", str(preds), str(good), "--data-format", fmt]) == 0
+    report = capsys.readouterr().out
+    assert main(["evaluate", str(preds), str(bad), "--data-format", fmt]) == 0
+    assert capsys.readouterr().out == report

@@ -25,6 +25,7 @@ from pmltk import data
 from pmltk.data import save
 from pmltk.enrichment import load_enrichment, save_enrichment
 from pmltk.trainer import (
+    FeatureTransform,
     Model,
     load_model,
     load_predictions,
@@ -489,4 +490,144 @@ class TestCLevelParse:
     def test_prediction_error_order(self, tmp_path, text, message):
         with pytest.raises(ParseError) as exc:
             load_predictions(write(tmp_path, text))
+        assert str(exc.value) == message
+
+
+class TestLoadTruth:
+    """``load_truth`` reads the label blocks alone and returns ``load``'s Ytruth."""
+
+    @pytest.mark.parametrize("fmt", ["dense-csv", "sparse-multilabel"])
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_matches_load(self, tmp_path, fmt, noisy):
+        ds = random_dataset(n=30, d=7, l=5, seed=6)
+        if noisy:
+            ds = inject_noise(ds, NoiseConfig(a=100, seed=6))
+        p = tmp_path / "ds.txt"
+        save(ds, p, fmt)
+        want = load(p, fmt).Ytruth
+        with no_row_loop():
+            got = data.load_truth(p, fmt)
+        assert got.dtype == want.dtype == np.int8
+        assert got.tobytes() == want.tobytes()
+        with row_loop_only():
+            assert data.load_truth(p, fmt).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("text", [
+        "#2 2 2\n\n0.1,0.2;1,0;1,0\n0.3,0.4;0,1\n",
+        "#2 2 2\n\n0.1,0.2;1,0\n0.3,0.4;0.5,1\n",
+        "#2 2 2\n\n0.1,0.2;1,0;1,0\n0.3,0.4;0,1;nan,1\n",
+        "#2 2 2\n\n0.1,0.2;1,0\n0.3,0.4;0,0\n",
+        "#2 2 2\n\n0.1,0.2;1,0\n0.3,0.4;0,1;0,1;0,1\n",
+        "#2 2 2\n\n0.1,0.2;1,1\n0.3,0.4;0,1\n",
+        "#2 2 2\n\n0.1,0.2;1,0;0,1\n0.3,0.4;0,1;0,1\n",
+        "#2 2 2\n\n0.1,0.2;1,0\n0.3,0.4;0,1,0\n",
+        "#2 2 2\n\n0.1,0.2;1,0\n0.3,0.4\n",
+        "#3 2 2\n\n0.1,0.2;1,0\n0.3,0.4;0,1\n",
+    ])
+    def test_dense_label_errors_match_load(self, tmp_path, text):
+        p = write(tmp_path, text)
+        with pytest.raises(DataError) as want:
+            load(p, "dense-csv")
+        with pytest.raises(DataError) as got:
+            data.load_truth(p, "dense-csv")
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("text", [
+        "#2 3 3\n0|0 0:0.5\n1 1:0.5\n",
+        "#2 3 3\n0 0:0.5\nx 1:0.5\n",
+        "#2 3 3\n0 0:0.5\n|1 1:0.5\n",
+        "#2 3 3\n0 0:0.5\n1|x 1:0.5\n",
+        "#2 3 3\n0 0:0.5\n3 1:0.5\n",
+        "#2 3 3\n0,1,2 0:0.5\n1 1:0.5\n",
+        "#2 3 3\n0|1 0:0.5\n1|1 1:0.5\n",
+    ])
+    def test_sparse_label_errors_match_load(self, tmp_path, text):
+        p = write(tmp_path, text)
+        with pytest.raises(DataError) as want:
+            load(p, "sparse-multilabel")
+        with pytest.raises(DataError) as got:
+            data.load_truth(p, "sparse-multilabel")
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("fmt, text", [
+        ("dense-csv", "#2 2 2\n0.1,x;1,0\n0.3;0,1\n"),
+        ("sparse-multilabel", "#2 2 2\n0 0:x\n1 7:0.5 oops\n"),
+    ])
+    def test_features_are_not_read(self, tmp_path, fmt, text):
+        assert data.load_truth(write(tmp_path, text), fmt).tolist() == [[1, 0], [0, 1]]
+
+    def test_unknown_format(self, tmp_path):
+        with pytest.raises(ConfigError):
+            data.load_truth(write(tmp_path, "#1 1 2\n0 0:1\n"), "csv")
+
+
+class TestWriteLines:
+    @pytest.mark.parametrize("lines", [
+        ["#2 2", "a,b", "", "c"],
+        ["only"],
+        [""],
+        [],
+    ])
+    def test_bytes_of_join(self, tmp_path, lines):
+        p = tmp_path / "out.txt"
+        expected = ("\n".join(lines) + "\n").encode()
+        data.write_lines(p, "test", lines)
+        assert p.read_bytes() == expected
+        data.write_lines(p, "test", (line for line in lines))
+        assert p.read_bytes() == expected
+
+    def test_unwritable_path(self, tmp_path):
+        with pytest.raises(DataError, match="cannot write test"):
+            data.write_lines(tmp_path / "missing" / "out.txt", "test", ["x"])
+
+
+class TestModelTransform:
+    W = np.array([[0.1, -2.5e-8], [1 / 3, 0.0], [2.0, -1.0]])
+
+    def test_version_2_bytes(self, tmp_path):
+        p = tmp_path / "model.txt"
+        t = FeatureTransform(np.array([0.5, -0.0]), np.array([1 / 3, 1.0]), True)
+        save_model(Model(self.W, 1.0, 10, t), p)
+        assert p.read_bytes() == (
+            b"#5 2 3 2 1.0 10.0\n0.5,-0.0\n0.3333333333333333,1.0\n"
+            b"0.1,-2.5e-08\n0.3333333333333333,0.0\n2.0,-1.0\n"
+        )
+
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_round_trip(self, tmp_path, bias):
+        p = tmp_path / "model.txt"
+        m = 3 - bias
+        t = FeatureTransform(np.arange(m) / 7, np.arange(1, m + 1) / 3, bias)
+        save_model(Model(self.W, 2.0, 0.5, t), p)
+        back = load_model(p)
+        assert back.W.tobytes() == self.W.tobytes()
+        assert (back.lambda1, back.lambda2) == (2.0, 0.5)
+        assert back.transform.mean.tobytes() == t.mean.tobytes()
+        assert back.transform.scale.tobytes() == t.scale.tobytes()
+        assert back.transform.bias is bias
+
+    def test_version_1_has_no_transform(self, tmp_path):
+        p = tmp_path / "model.txt"
+        save_model(Model(self.W, 1.0, 10.0), p)
+        assert load_model(p).transform is None
+
+    @pytest.mark.parametrize("text, message", [
+        ("#5 1 3 2 1.0 10.0\n0.5\n1.0\n" + "0.1,0.2\n" * 3,
+         "line 1: a version-2 model needs d = features or features + 1 and rows = d + 2, "
+         "got rows=5 features=1 d=3"),
+        ("#4 2 3 2 1.0 10.0\n0.5,0.5\n1.0,1.0\n" + "0.1,0.2\n" * 2,
+         "line 1: a version-2 model needs d = features or features + 1 and rows = d + 2, "
+         "got rows=4 features=2 d=3"),
+        ("#5 2 3 2 1.0 10.0\n0.5,0.5\n1.0,0.0\n" + "0.1,0.2\n" * 3,
+         "line 3: transform scale values must be positive"),
+        ("#5 2 3 2 1.0 10.0\n0.5,0.5\n1.0\n" + "0.1,0.2\n" * 3,
+         "line 3: expected 2 transform values, got 1"),
+        ("#5 2 3 1.0 10.0\n0.5,0.5\n1.0,1.0\n" + "0.1,0.2\n" * 3,
+         "line 1: expected header '#d l lambda1 lambda2' or '#rows features d l lambda1 lambda2'"),
+    ])
+    def test_bad_version_2_file(self, tmp_path, text, message):
+        with pytest.raises(ParseError) as exc:
+            load_model(write(tmp_path, text))
         assert str(exc.value) == message

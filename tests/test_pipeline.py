@@ -384,8 +384,7 @@ class TestFeatureTransform:
         save(inject_noise(load(toy_file), NoiseConfig(a=100, seed=3)), noisy, "sparse-multilabel")
         assert main(["train", str(noisy), "--k", "4", "--lambda2", "10",
                      "--standardize-features", "--add-bias", "--out", str(model)]) == 0
-        assert main(["predict", str(model), str(noisy), "--add-bias",
-                     "--out", str(preds)]) == 0
+        assert main(["predict", str(model), str(noisy), "--out", str(preds)]) == 0
         capsys.readouterr()
         raw = load(noisy)
         W = load_model(model).W
@@ -398,6 +397,44 @@ class TestFeatureTransform:
         em = enrich(ds, build_graph(ds.X[:, :-1], KnnConfig(k=4)), PropagationConfig())
         ref, _, _ = fit(ds.X, em.Yhat, ds.Y, TrainerConfig(lambda2=10.0))
         assert W.tobytes() == ref.W.tobytes()
+
+    @pytest.mark.parametrize("options", [["--standardize-features", "--add-bias"],
+                                         ["--standardize-features"], ["--add-bias"]])
+    def test_predict_applies_model_transform(self, toy_file, tmp_path, capsys, options):
+        # a test set with other statistics than the training set
+        model, preds, test = tmp_path / "model.txt", tmp_path / "preds.csv", tmp_path / "test.sml"
+        save(clustered_dataset(n=20, d=5, l=4, groups=3, seed=5, scale=2.0), test,
+             "sparse-multilabel")
+        assert main(["train", str(toy_file), "--k", "4", "--lambda2", "10", *options,
+                     "--out", str(model)]) == 0
+        assert main(["predict", str(model), str(test), "--out", str(preds)]) == 0
+        capsys.readouterr()
+        cfg = toy_config(toy_file, standardize_features="--standardize-features" in options,
+                         add_bias="--add-bias" in options)
+        train, held = transform_features(cfg, load(toy_file), load(test))
+        em = enrich(train, build_graph(train.X[:, :-1] if cfg.add_bias else train.X,
+                                       KnnConfig(k=4)), PropagationConfig())
+        ref, _, _ = fit(train.X, em.Yhat, train.Y, TrainerConfig(lambda2=10.0))
+        scores, labels = pmltk.predict(ref, held.X)
+        got_scores, got_labels = load_predictions(preds)
+        assert got_scores.tobytes() == scores.tobytes()
+        assert (got_labels == labels).all()
+        # the model file keeps the transform it was trained with
+        transform = load_model(model).transform
+        assert transform.bias is cfg.add_bias
+        if cfg.standardize_features:
+            assert transform.mean.tobytes() == load(toy_file).X.mean(axis=0).tobytes()
+        else:
+            assert not transform.mean.any() and (transform.scale == 1.0).all()
+
+    def test_model_without_transform_keeps_version_1(self, toy_file, tmp_path, capsys):
+        model = tmp_path / "model.txt"
+        assert main(["train", str(toy_file), "--k", "4", "--lambda2", "10",
+                     "--out", str(model)]) == 0
+        capsys.readouterr()
+        header = model.read_text().split("\n", 1)[0]
+        assert header == "#5 4 1.0 10.0"
+        assert load_model(model).transform is None
 
 
 class TestCli:
