@@ -8,6 +8,15 @@ empty or covers every label are excluded from the ranking metrics
 (their denominators are undefined) and counted in
 ``skipped_instances``; when no instance remains, the three ranking
 metrics are reported as 0.
+
+The ranking metrics are computed over all eligible rows at once, with
+the arithmetic of a per-row loop, so every value is the float that loop
+gives. One-error is one ``argmax``, and ranking loss one broadcast
+pair comparison taken in row blocks. Average precision ranks by one
+stable sort and is averaged per group of rows that share a
+relevant-label count ``r``: each group is one ``(rows, r)`` array whose
+row means sum in the same order as a 1-D mean over one row's ``r``
+precisions.
 """
 
 from __future__ import annotations
@@ -21,6 +30,9 @@ import numpy as np
 
 from .data import _as_binary
 from .errors import ShapeError, ValidationError
+
+# Most entries of the rows x l x l boolean temporary ``_violations`` holds.
+_PAIR_CELLS = 1 << 20
 
 METRIC_NAMES = (
     "saccuracy",
@@ -73,25 +85,13 @@ def evaluate(scores, labels, truth) -> MetricsReport:
     skipped = int(m - eligible.size)
 
     if eligible.size:
-        oerr = []
-        rloss = []
-        ap = []
-        for i in eligible:
-            s = scores[i]
-            rel = np.flatnonzero(truth[i] == 1)
-            irr = np.flatnonzero(truth[i] == 0)
-            top = int(np.argmax(s))  # first occurrence = smaller index on ties
-            oerr.append(0.0 if truth[i, top] == 1 else 1.0)
-            violations = (s[rel][:, None] <= s[irr][None, :]).sum()
-            rloss.append(violations / (rel.size * irr.size))
-            order = np.lexsort((np.arange(l), -s))  # descending score, index tie-break
-            rank = np.empty(l, dtype=np.int64)
-            rank[order] = np.arange(1, l + 1)
-            rel_ranks = np.sort(rank[rel])
-            ap.append(float((np.arange(1, rel.size + 1) / rel_ranks).mean()))
-        oerror = float(np.mean(oerr))
-        rloss_v = float(np.mean(rloss))
-        ap_v = float(np.mean(ap))
+        S = scores[eligible]
+        T = truth[eligible] == 1
+        top = np.argmax(S, axis=1)  # first occurrence = smaller index on ties
+        oerror = float(np.mean(np.where(T[np.arange(T.shape[0]), top], 0.0, 1.0)))
+        r = T.sum(axis=1)
+        rloss_v = float(np.mean(_violations(S, T) / (r * (l - r))))
+        ap_v = float(np.mean(_average_precision(S, T, r)))
     else:
         oerror = rloss_v = ap_v = 0.0
 
@@ -114,6 +114,41 @@ def evaluate(scores, labels, truth) -> MetricsReport:
         micro_f1=micro_f1,
         skipped_instances=skipped,
     )
+
+
+def _violations(S, T) -> np.ndarray:
+    """Per row, the (relevant, irrelevant) label pairs whose relevant
+    score is not above the irrelevant one; ``T`` marks the relevant
+    labels. Rows go in blocks so the rows x l x l temporary stays under
+    ``_PAIR_CELLS`` entries."""
+    m, l = S.shape
+    out = np.empty(m, dtype=np.int64)
+    step = max(1, _PAIR_CELLS // (l * l))
+    for a in range(0, m, step):
+        s, t = S[a:a + step], T[a:a + step]
+        pairs = s[:, :, None] <= s[:, None, :]
+        pairs &= t[:, :, None]
+        pairs &= ~t[:, None, :]
+        out[a:a + step] = pairs.sum(axis=(1, 2))
+    return out
+
+
+def _average_precision(S, T, r) -> np.ndarray:
+    """Per row, the mean over relevant labels of (relevant labels ranked
+    at or above it) / (its rank), where ``r`` counts each row's relevant
+    labels. Ranks come from one stable descending sort, so ties go to the
+    smaller index; the relevant labels' ranks are read in rank order, so
+    the j-th of them has j relevant labels at or above it. Rows with the
+    same ``r`` form one ``(rows, r)`` array whose row means sum in the
+    order of a per-row 1-D mean."""
+    order = np.argsort(-S, axis=1, kind="stable")
+    hits = np.take_along_axis(T, order, axis=1)
+    out = np.empty(S.shape[0])
+    for k in np.unique(r):
+        rows = np.flatnonzero(r == k)
+        ranks = np.nonzero(hits[rows])[1].reshape(rows.size, k) + 1
+        out[rows] = (np.arange(1, k + 1) / ranks).mean(axis=1)
+    return out
 
 
 def aggregate(reports) -> dict[str, tuple[float, float]]:

@@ -11,9 +11,16 @@ masked to the candidate set, an inner ADMM loop on the label
 correlation matrix ``B`` with singular value thresholding for the
 nuclear norm, and a ridge solve for the predictor ``W``. All linear
 systems go through symmetric positive-definite factorizations; no
-matrix is ever inverted explicitly. A factorization that fails, or that
-scipy refuses with ``ValueError`` because its matrix holds an inf or a
-nan (a Gram that overflowed), raises ``NumericError``.
+matrix is ever inverted explicitly: each is factored by LAPACK's
+``dpotrf`` and solved by its ``dpotrs``, called directly rather than
+through ``scipy.linalg.cho_factor``/``cho_solve``, whose argument checks
+cost two to three times the LAPACK call on these small systems. The
+bits match scipy's because ``cho_factor(G, lower=True)`` and
+``cho_solve`` make these same two calls with the same arguments
+(``lower=1``, ``clean=0``, no overwrite), after the checks that
+``_cholesky`` and ``_solve`` keep: a Gram that holds an inf or a nan (one
+that overflowed), or that is not positive definite, raises
+``NumericError``, and so does a non-finite right-hand side.
 
 The loop touches ``W`` only through the fitted values ``X W`` and
 ``||W||_F^2``, which the ridge step returns and the state carries. When
@@ -27,10 +34,10 @@ product through ``X``, and ``W = X^T alpha`` is formed once, when
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from ._blas import single_threaded
 from .data import _as_binary, csv_rows, parse_float_row, parse_float_rows, read_table, write_lines
@@ -79,9 +86,11 @@ class TrainerState:
     ||W||_F^2``.
 
     The updates read the predictor only through ``XW`` and ``W_norm2``.
-    ``fit`` keeps those two current and forms ``W`` itself only when it
-    returns, so whoever builds or changes a state by hand must set all
-    three consistently.
+    ``fit`` keeps those two current, with ``coef``, the ridge
+    coefficients they came from (``None`` before the first predictor
+    step), and forms ``W`` from ``coef`` only when it returns, so whoever
+    builds or changes a state by hand must set ``W``, ``XW`` and
+    ``W_norm2`` consistently.
     """
 
     C: np.ndarray
@@ -91,6 +100,7 @@ class TrainerState:
     W: np.ndarray
     XW: np.ndarray
     W_norm2: float
+    coef: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -158,24 +168,53 @@ def objective(state: TrainerState, Yhat, cfg: TrainerConfig) -> float:
     return val
 
 
-def update_c(state: TrainerState, Yhat, Y) -> np.ndarray:
+def _cholesky(G, what: str) -> np.ndarray:
+    """Lower Cholesky factor of the SPD matrix ``G``, from ``dpotrf`` as
+    ``cho_factor(G, lower=True)`` calls it. A ``G`` that holds an inf or a
+    nan, or that is not positive definite, raises ``NumericError``
+    prefixed ``"<what> factorization failed: "``."""
+    if not np.isfinite(G).all():
+        raise NumericError(f"{what} factorization failed: array must not contain infs or NaNs")
+    c, info = dpotrf(G, lower=1, clean=0)
+    if info > 0:
+        raise NumericError(
+            f"{what} factorization failed: {info}-th leading minor of the array is not positive definite"
+        )
+    if info < 0:
+        raise NumericError(f"{what} factorization failed: illegal value in argument {-info} of potrf")
+    return c
+
+
+def _solve(c, b) -> np.ndarray:
+    """Solve ``G x = b`` from ``c = _cholesky(G, ...)`` with ``dpotrs``, as
+    ``cho_solve((c, True), b)`` does. A non-finite ``b`` raises
+    ``NumericError``; an empty ``b`` gives an empty solution."""
+    if b.size == 0:
+        return np.empty_like(b)
+    if not np.isfinite(b).all():
+        raise NumericError("Cholesky solve: right-hand side must not contain infs or NaNs")
+    x, info = dpotrs(c, b, lower=1)
+    if info != 0:
+        raise NumericError(f"Cholesky solve: illegal value in argument {-info} of potrs")
+    return x
+
+
+def update_c(state: TrainerState, Yhat, outside) -> np.ndarray:
     """Confidence update: solve the stationarity system, clamp, mask.
 
     The unconstrained minimizer ``(Yhat B^T + X W)(B B^T + I)^{-1}`` is
-    clamped entrywise into [0, 1] and then zeroed outside the candidate
-    set, so ``0 <= C <= Y`` holds exactly afterwards.
+    clamped entrywise into [0, 1] and then zeroed where the boolean mask
+    ``outside`` (``Y == 0``) is true, so ``0 <= C <= Y`` holds exactly
+    afterwards.
     """
     B = state.B
     G = B @ B.T
-    G[np.diag_indices_from(G)] += 1.0
-    try:
-        factor = cho_factor(G, lower=True)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise NumericError(f"confidence-system factorization failed: {exc}") from None
+    G.flat[::G.shape[0] + 1] += 1.0
+    factor = _cholesky(G, "confidence-system")
     rhs = Yhat @ B.T + state.XW
-    C = cho_solve(factor, rhs.T).T
+    C = _solve(factor, rhs.T).T
     np.clip(C, 0.0, 1.0, out=C)
-    C[np.asarray(Y) == 0] = 0.0
+    C[outside] = 0.0
     return C
 
 
@@ -189,15 +228,12 @@ def update_b_admm(state: TrainerState, Yhat, cfg: TrainerConfig):
     C = state.C
     tau = cfg.tau
     G = 2.0 * (C.T @ C)
-    G[np.diag_indices_from(G)] += tau
-    try:
-        factor = cho_factor(G, lower=True)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise NumericError(f"ADMM auxiliary factorization failed: {exc}") from None
+    G.flat[::G.shape[0] + 1] += tau
+    factor = _cholesky(G, "ADMM auxiliary")
     data_term = 2.0 * (C.T @ Yhat)
     B, Bhat, Theta = state.B, state.Bhat, state.Theta
     for it in range(cfg.admm_iters):
-        Bhat = cho_solve(factor, data_term + tau * B + Theta)
+        Bhat = _solve(factor, data_term + tau * B + Theta)
         try:
             B = prox_nuclear(Bhat - Theta / tau, cfg.lambda1 / tau)
         except NumericError as exc:
@@ -213,9 +249,12 @@ class RidgeSolver:
     algebraically identical dual form ``W = X^T alpha`` with
     ``alpha = (X X^T + lambda I)^{-1} C`` is factored instead, which
     keeps the factorization at the smaller of the two Gram matrices.
-    ``solve`` returns the coefficients (``alpha`` in the dual form, ``W``
-    in the primal one) with the fitted values ``X W`` and ``||W||_F^2``;
-    ``predictor`` turns coefficients into ``W``.
+    The Gram is factored once by ``dpotrf`` and each ``solve`` is one
+    ``dpotrs``, the two LAPACK calls ``cho_factor``/``cho_solve`` make,
+    with the same arguments, so the coefficients are bit for bit
+    scipy's. ``solve`` returns the coefficients (``alpha`` in the dual
+    form, ``W`` in the primal one) with the fitted values ``X W`` and
+    ``||W||_F^2``; ``predictor`` turns coefficients into ``W``.
     """
 
     def __init__(self, X, lam: float):
@@ -226,20 +265,17 @@ class RidgeSolver:
         self.dual = lam > 0 and n < d
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails just below
             G = X @ X.T if self.dual else X.T @ X
-        G[np.diag_indices_from(G)] += lam
-        try:
-            self.factor = cho_factor(G, lower=True)
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise NumericError(f"ridge factorization failed: {exc}") from None
+        G.flat[::G.shape[0] + 1] += lam
+        self.factor = _cholesky(G, "ridge")
 
     def solve(self, C):
         """``(coef, X W, ||W||_F^2)`` for targets C."""
         if self.dual:
             # (X X^T + lam I) alpha = C gives X W = X X^T alpha = C - lam alpha
-            alpha = cho_solve(self.factor, C)
+            alpha = _solve(self.factor, C)
             XW = C - self.lam * alpha
             return alpha, XW, float(np.vdot(alpha, XW))
-        W = cho_solve(self.factor, self.X.T @ C)
+        W = _solve(self.factor, self.X.T @ C)
         return W, self.X @ W, float(np.vdot(W, W))
 
     def predictor(self, coef) -> np.ndarray:
@@ -253,17 +289,34 @@ def update_w(state: TrainerState, solver: RidgeSolver):
     return solver.solve(state.C)
 
 
+def _step(state: TrainerState, Yhat, outside, solver: RidgeSolver,
+          cfg: TrainerConfig) -> TrainerState:
+    """One outer iteration: the confidence, correlation and predictor
+    updates in turn, each reading what the ones before it wrote. Returns
+    a new state and leaves ``state`` as it was; its ``W`` is not formed
+    (see ``TrainerState``)."""
+    new = replace(state, C=update_c(state, Yhat, outside))
+    new.Bhat, new.B, new.Theta = update_b_admm(new, Yhat, cfg)
+    new.coef, new.XW, new.W_norm2 = update_w(new, solver)
+    return new
+
+
+def _relative_change(trace) -> float:
+    """The stop rule's measure: the last objective change relative to the
+    objective before it, floored at 1."""
+    return abs(trace[-1] - trace[-2]) / max(1.0, abs(trace[-2]))
+
+
 @single_threaded
 def fit(X, Yhat, Y, cfg: TrainerConfig = TrainerConfig()):
     """Alternating minimization over (C, B, W).
 
     Initialization: C is the positive part of ``Yhat`` masked to the
     candidate set, B and Bhat start at the identity, Theta and W at
-    zero. The loop runs confidence, correlation and predictor updates
-    until the relative objective change drops below ``cfg.outer_tol``
-    or ``cfg.outer_max`` is hit; the latter logs a warning on the
-    ``pmltk.trainer`` logger. ``W`` is formed from the ridge
-    coefficients once, on return.
+    zero. The loop runs ``_step`` until ``_relative_change`` of the
+    objective drops below ``cfg.outer_tol`` or ``cfg.outer_max`` is hit;
+    the latter logs a warning on the ``pmltk.trainer`` logger. ``W`` is
+    formed from the ridge coefficients once, on return.
 
     Returns ``(model, state, trace)`` where ``trace`` holds the
     objective at initialization and after every outer iteration, and
@@ -289,14 +342,13 @@ def fit(X, Yhat, Y, cfg: TrainerConfig = TrainerConfig()):
         XW=np.zeros((n, l)),
         W_norm2=0.0,
     )
+    outside = Y == 0
     solver = RidgeSolver(X, cfg.lambda2)
     trace = [objective(state, Yhat, cfg)]
     for _ in range(cfg.outer_max):
-        state.C = update_c(state, Yhat, Y)
-        state.Bhat, state.B, state.Theta = update_b_admm(state, Yhat, cfg)
-        coef, state.XW, state.W_norm2 = update_w(state, solver)
+        state = _step(state, Yhat, outside, solver, cfg)
         trace.append(objective(state, Yhat, cfg))
-        change = abs(trace[-1] - trace[-2]) / max(1.0, abs(trace[-2]))
+        change = _relative_change(trace)
         if change < cfg.outer_tol:
             break
     else:
@@ -304,7 +356,7 @@ def fit(X, Yhat, Y, cfg: TrainerConfig = TrainerConfig()):
             "fit stopped at outer_max=%d without meeting outer_tol=%g; last relative change %.3g",
             cfg.outer_max, cfg.outer_tol, change,
         )
-    state.W = solver.predictor(coef)
+    state.W = solver.predictor(state.coef)
     return Model(state.W, cfg.lambda1, cfg.lambda2), state, trace
 
 

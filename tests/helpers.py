@@ -194,6 +194,47 @@ def reference_fit(X, Yhat, Y, cfg):
     return W, trace
 
 
+def reference_evaluate(scores, labels, truth):
+    """Oracle for ``metrics.evaluate``: the per-row loop it replaced, with
+    the same arithmetic row by row. Returns the report as a plain dict, in
+    ``MetricsReport.to_dict`` form, so the two can be compared exactly."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    truth = np.asarray(truth)
+    m, l = scores.shape
+    row_truth = truth.sum(axis=1)
+    eligible = np.flatnonzero((row_truth > 0) & (row_truth < l))
+    oerr, rloss, ap = [], [], []
+    for i in eligible:
+        s = scores[i]
+        rel = np.flatnonzero(truth[i] == 1)
+        irr = np.flatnonzero(truth[i] == 0)
+        top = int(np.argmax(s))  # first occurrence = smaller index on ties
+        oerr.append(0.0 if truth[i, top] == 1 else 1.0)
+        violations = (s[rel][:, None] <= s[irr][None, :]).sum()
+        rloss.append(violations / (rel.size * irr.size))
+        order = np.lexsort((np.arange(l), -s))  # descending score, index tie-break
+        rank = np.empty(l, dtype=np.int64)
+        rank[order] = np.arange(1, l + 1)
+        rel_ranks = np.sort(rank[rel])
+        ap.append(float((np.arange(1, rel.size + 1) / rel_ranks).mean()))
+    tp = ((labels == 1) & (truth == 1)).sum(axis=0).astype(np.float64)
+    fp = ((labels == 1) & (truth == 0)).sum(axis=0).astype(np.float64)
+    fn = ((labels == 0) & (truth == 1)).sum(axis=0).astype(np.float64)
+    denom = 2 * tp + fp + fn
+    pooled = denom.sum()
+    return {
+        "saccuracy": float((labels == truth).all(axis=1).mean()),
+        "hloss": float((labels != truth).mean()),
+        "oerror": float(np.mean(oerr)) if ap else 0.0,
+        "rloss": float(np.mean(rloss)) if ap else 0.0,
+        "ap": float(np.mean(ap)) if ap else 0.0,
+        "macro_f1": float(np.divide(2 * tp, denom, out=np.zeros(l), where=denom > 0).mean()),
+        "micro_f1": float(2 * tp.sum() / pooled) if pooled > 0 else 0.0,
+        "skipped_instances": int(m - eligible.size),
+    }
+
+
 def brute_force_metrics(scores, labels, truth):
     """All seven metrics by direct enumeration; returns a plain dict."""
     m, l = scores.shape

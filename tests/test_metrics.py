@@ -2,9 +2,9 @@ import json
 
 import numpy as np
 import pytest
-from helpers import brute_force_metrics
+from helpers import brute_force_metrics, reference_evaluate
 
-from pmltk import MetricsReport, ShapeError, ValidationError, evaluate
+from pmltk import MetricsReport, ShapeError, ValidationError, evaluate, metrics
 from pmltk.metrics import aggregate, report_to_json, reports_to_csv, reports_to_json
 
 
@@ -81,6 +81,57 @@ class TestOracleAgreement:
         ref = brute_force_metrics(scores, labels, truth)
         for name, want in ref.items():
             assert rep[name] == pytest.approx(want, abs=1e-12), name
+
+
+def row_loop_case(m, l, seed, ties=False, max_rel=None, degenerate=0.0):
+    """Scores, labels and truth with each row's relevant-label count drawn
+    from 1..``max_rel`` (default l - 1), so rows are ragged; ``ties``
+    draws scores from five values, and a ``degenerate`` share of rows is
+    made empty or full."""
+    rng = np.random.default_rng(seed)
+    scores = rng.integers(-2, 3, size=(m, l)) / 2.0 if ties else rng.normal(size=(m, l))
+    truth = np.zeros((m, l), dtype=np.int8)
+    for i, r in enumerate(rng.integers(1, (max_rel or l - 1) + 1, size=m)):
+        truth[i, rng.choice(l, size=r, replace=False)] = 1
+    odd = rng.random(m) < degenerate
+    truth[odd] = rng.integers(0, 2, size=(int(odd.sum()), 1))
+    labels = (scores >= 0.5).astype(np.int8)
+    return scores, labels, truth
+
+
+class TestMatchesRowLoop:
+    """``evaluate`` scores all rows at once; ``reference_evaluate`` is the
+    per-row loop it replaced. Every field must be the same float."""
+
+    @pytest.mark.parametrize("m,l,kw", [
+        (40, 6, {}),
+        (60, 27, {}),
+        (489, 45, {}),
+        (50, 8, {"ties": True}),
+        (80, 45, {"ties": True}),
+        (70, 30, {"max_rel": 29}),  # rows with 9 to 29 relevant labels
+        (30, 200, {"max_rel": 150}),  # past numpy's 128-element pairwise block
+        (60, 10, {"degenerate": 0.4}),
+        (60, 10, {"degenerate": 0.4, "ties": True}),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_exact(self, m, l, kw, seed):
+        args = row_loop_case(m, l, seed, **kw)
+        assert evaluate(*args).to_dict() == reference_evaluate(*args)
+
+    def test_all_rows_skipped(self):
+        truth = np.array([[1, 1, 1], [0, 0, 0], [1, 1, 1]], dtype=np.int8)
+        args = (np.random.default_rng(3).normal(size=(3, 3)), truth, truth)
+        report = evaluate(*args)
+        assert report.to_dict() == reference_evaluate(*args)
+        assert report.skipped_instances == 3 and report.ap == report.rloss == report.oerror == 0.0
+
+    @pytest.mark.parametrize("cells", [1, 45 * 45, 45 * 45 * 7 + 3])
+    def test_row_blocks(self, monkeypatch, cells):
+        # one row per block, exactly one row, and blocks that do not divide m
+        monkeypatch.setattr(metrics, "_PAIR_CELLS", cells)
+        args = row_loop_case(50, 45, 4, ties=True, degenerate=0.1)
+        assert evaluate(*args).to_dict() == reference_evaluate(*args)
 
 
 class TestInvariances:

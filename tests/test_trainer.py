@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 from helpers import fix_label_rows, random_dataset, reference_fit, svt_objective, trainer_state
 
 from pmltk import trainer
@@ -10,6 +11,9 @@ from pmltk import ConfigError, NumericError, ShapeError, TrainerConfig, fit, pre
 from pmltk.trainer import (
     Model,
     RidgeSolver,
+    TrainerState,
+    _cholesky,
+    _solve,
     load_model,
     load_predictions,
     nuclear_norm,
@@ -88,7 +92,7 @@ class TestUpdateC:
             rng.normal(size=(n, d)) * 0, C=np.zeros((n, l)), B=np.eye(l), Bhat=np.eye(l),
             Theta=np.zeros((l, l)), W=np.zeros((d, l)),
         )
-        C = update_c(state, Yhat, Y)
+        C = update_c(state, Yhat, Y == 0)
         expect = np.clip(Yhat / 2.0, 0.0, 1.0)
         expect[Y == 0] = 0.0
         assert np.allclose(C, expect, atol=1e-12)
@@ -99,7 +103,7 @@ class TestUpdateC:
         Y = fix_label_rows((rng.random((n, l)) < 0.4).astype(np.int8), rng)
         # large W drives unclamped values far outside [0, 1]
         state = random_state(rng.normal(size=(n, d)), l, rng, w_scale=50)
-        C = update_c(state, signed_enrichment(Y, rng), Y)
+        C = update_c(state, signed_enrichment(Y, rng), Y == 0)
         assert (C >= 0).all() and (C <= 1).all()
         assert (C[Y == 0] == 0).all()
 
@@ -266,7 +270,7 @@ class TestFit:
             W=np.zeros((5, 4)),
         )
         for _ in range(4):
-            state.C = update_c(state, Yhat, ds.Y)
+            state.C = update_c(state, Yhat, ds.Y == 0)
             state.Bhat, state.B, state.Theta = update_b_admm(state, Yhat, cfg)
             before = objective(state, Yhat, cfg)
             W = ridge_w(state, ds.X, cfg)
@@ -302,6 +306,81 @@ class TestFit:
             _, _, trace = fit(ds.X, Yhat, ds.Y, TrainerConfig(outer_max=50, outer_tol=1e-2))
         assert len(trace) - 1 < 50
         assert caplog.records == []
+
+
+class TestCholesky:
+    """``_cholesky``/``_solve`` make the LAPACK calls ``cho_factor`` and
+    ``cho_solve`` make, so their results are the same bytes."""
+
+    @pytest.mark.parametrize("n", [27, 45, 265, 489])
+    def test_byte_equal_to_scipy(self, n):
+        rng = np.random.default_rng(n)
+        A = rng.normal(size=(n + 3, n))
+        G = A.T @ A
+        G.flat[::n + 1] += 1.0
+        c = _cholesky(G, "test")
+        factor = cho_factor(G, lower=True)
+        assert c.tobytes() == factor[0].tobytes()
+        b = rng.normal(size=(n, 7))
+        for rhs in (b, np.asfortranarray(b), rng.normal(size=(7, n)).T):
+            got, want = _solve(c, rhs), cho_solve(factor, rhs)
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.f_contiguous == want.flags.f_contiguous
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_right_hand_side(self, bad):
+        b = np.ones((3, 2))
+        b[1, 0] = bad
+        with pytest.raises(NumericError, match="right-hand side"):
+            _solve(_cholesky(np.eye(3), "test"), b)
+
+    def test_empty_right_hand_side(self):
+        assert _solve(_cholesky(np.zeros((0, 0)), "test"), np.zeros((0, 2))).shape == (0, 2)
+
+
+def confidence_site(case):
+    # G = B B^T + I: an entry of 1e200 overflows it, equal rows of 1e8
+    # make it rank one after the + 1 rounds away
+    l = 3
+    B = np.full((l, l), 1e8) if case == "singular" else np.eye(l)
+    if case == "inf":
+        B[0, 0] = 1e200
+    state = trainer_state(np.zeros((4, 2)), C=np.zeros((4, l)), B=B, Bhat=np.eye(l),
+                          Theta=np.zeros((l, l)), W=np.zeros((2, l)))
+    update_c(state, np.zeros((4, l)), np.zeros((4, l), dtype=bool))
+
+
+def admm_site(case):
+    # G = 2 C^T C + tau I, by the same two constructions on C
+    l = 3
+    C = np.full((4, l), 1e8) if case == "singular" else np.zeros((4, l))
+    if case == "inf":
+        C[0, 0] = 1e200
+    state = trainer_state(np.zeros((4, 2)), C=C, B=np.eye(l), Bhat=np.eye(l),
+                          Theta=np.zeros((l, l)), W=np.zeros((2, l)))
+    update_b_admm(state, np.zeros((4, l)), TrainerConfig())
+
+
+def ridge_site(case):
+    # G = X^T X + lambda I: overflowing features, or zero features and lambda 0
+    X = np.zeros((6, 3))
+    if case == "inf":
+        X[0, 0] = 1e200
+    RidgeSolver(X, 0.0)
+
+
+class TestFactorizationFailures:
+    @pytest.mark.parametrize("case", ["inf", "singular"])
+    @pytest.mark.parametrize("site,prefix", [
+        (confidence_site, "confidence-system factorization failed: "),
+        (admm_site, "ADMM auxiliary factorization failed: "),
+        (ridge_site, "ridge factorization failed: "),
+    ])
+    def test_prefix(self, site, prefix, case):
+        with pytest.raises(NumericError) as info, np.errstate(over="ignore", invalid="ignore"):
+            site(case)
+        assert str(info.value).startswith(prefix)
+        assert ("infs or NaNs" if case == "inf" else "not positive definite") in str(info.value)
 
 
 def fit_problem(n, d, l, seed):
@@ -373,6 +452,30 @@ class TestCachedLoop:
             "prox_nuclear": cfg.admm_iters * iters,
         }
 
+
+    def test_candidate_mask_built_once(self, monkeypatch):
+        masks = []
+        def recording(state, Yhat, outside, _fn=trainer.update_c):
+            masks.append(outside)
+            return _fn(state, Yhat, outside)
+        monkeypatch.setattr(trainer, "update_c", recording)
+        X, Yhat, Y = fit_problem(*PRIMAL_PROBLEMS[0][:4])
+        _, _, trace = fit(X, Yhat, Y, TrainerConfig(outer_max=3, outer_tol=1e-12))
+        assert len(masks) == len(trace) - 1 == 3
+        assert all(m is masks[0] for m in masks)
+        assert (masks[0] == (Y == 0)).all()
+
+    def test_step_leaves_its_input_state(self):
+        X, Yhat, Y = fit_problem(*DUAL_PROBLEMS[0][:4])
+        l = Y.shape[1]
+        state = trainer_state(X, C=np.where(Y == 1, np.maximum(Yhat, 0.0), 0.0), B=np.eye(l),
+                              Bhat=np.eye(l), Theta=np.zeros((l, l)), W=np.zeros((X.shape[1], l)))
+        before = {k: np.copy(v) for k, v in vars(state).items() if v is not None}
+        new = trainer._step(state, Yhat, Y == 0, RidgeSolver(X, 10.0), TrainerConfig())
+        assert isinstance(new, TrainerState) and new is not state
+        for k, v in before.items():
+            assert np.array_equal(getattr(state, k), v), k
+        assert state.coef is None and new.coef is not None and new.XW.shape == state.XW.shape
 
 class TestPredict:
     def test_zero_model(self):
