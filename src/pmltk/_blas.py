@@ -10,6 +10,11 @@ its return restores the earlier count. The thread count is process-wide,
 so the nesting depth is too; a lock keeps concurrent callers from
 restoring while another is still inside. The libraries are looked up on
 first use, not at import. Without a bundled OpenBLAS nothing is pinned.
+
+The compiled scipy modules pmltk calls are loaded from their files by
+:func:`scipy_extension`: importing the packages ``scipy.linalg`` and
+``scipy.sparse`` would cost each process about 0.3 s and 25 MB of
+resident memory.
 """
 
 from __future__ import annotations
@@ -18,7 +23,10 @@ import contextlib
 import ctypes
 import functools
 import glob
+import importlib.machinery
+import importlib.util
 import os
+import sys
 import threading
 
 import numpy
@@ -88,3 +96,31 @@ class _SingleThreaded(contextlib.ContextDecorator):
 
 # One instance, because the BLAS thread count it guards is one per process.
 single_threaded = _SingleThreaded()
+
+
+def scipy_extension(package: str, name: str):
+    """The compiled module ``scipy.<package>.<name>``, loaded from its file
+    next to ``scipy.<package>`` without running that package's ``__init__``.
+
+    A module already in ``sys.modules`` is returned as it is. A loaded one
+    is taken back out of ``sys.modules``, so that a later import of its
+    package binds it as usual; CPython hands that import the same objects,
+    so ``scipy.linalg.lapack.dpotrf`` is then the function pmltk holds. A
+    missing file raises ``ImportError`` naming it.
+    """
+    fullname = f"scipy.{package}.{name}"
+    module = sys.modules.get(fullname)
+    if module is not None:
+        return module
+    base = os.path.join(os.path.dirname(scipy.__file__), package, name)
+    paths = [base + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        raise ImportError(f"no compiled module {fullname}: {paths[0]} is missing",
+                          name=fullname, path=paths[0])
+    loader = importlib.machinery.ExtensionFileLoader(fullname, path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_file_location(
+        fullname, path, loader=loader))
+    loader.exec_module(module)
+    sys.modules.pop(fullname, None)
+    return module

@@ -6,6 +6,11 @@ original annotation, then rescales every row against its global
 minimum and its candidate maximum. At convergence the scores are
 re-signed: candidate entries keep their relevance degree in [0, 1],
 non-candidate entries become irrelevance degrees in [-1, 0].
+
+The product ``W^T F`` is scipy's CSR kernel on the arrays of
+``graph.matrix().T.tocsr()``: each entry starts at +0.0 and adds its
+terms in ascending order of source instance, so it is bit for bit
+``W.T @ F``, without importing ``scipy.sparse``.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._blas import single_threaded
+from ._blas import scipy_extension, single_threaded
 from .data import Dataset, csv_rows, parse_float_rows, read_table, write_lines
 from .errors import ConfigError, ShapeError, ValidationError
 from .graph import WeightGraph
@@ -24,6 +29,9 @@ from .graph import WeightGraph
 DEGENERATE_SPAN = 1e-12
 
 _log = logging.getLogger(__name__)
+
+# the kernel behind scipy.sparse's CSR-times-dense-matrix product
+csr_matvecs = scipy_extension("sparse", "_sparsetools").csr_matvecs
 
 
 @dataclass(frozen=True)
@@ -90,6 +98,29 @@ def normalize_step(F, Y) -> np.ndarray:
     return out
 
 
+def _transpose(graph: WeightGraph) -> tuple:
+    """``(indptr, indices, data)`` of ``W^T`` in CSR form, the arrays
+    ``graph.matrix().T.tocsr()`` holds: row i lists the instances that
+    have i as a neighbor, in ascending order, with their weights."""
+    n, k = graph.neighbors.shape
+    targets = graph.neighbors.ravel()
+    # stable, so each row keeps its sources in ascending order
+    order = np.argsort(targets, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(targets, minlength=n), out=indptr[1:])
+    return indptr, order // k, graph.weights.ravel()[order]
+
+
+def _propagate(VT: tuple, F) -> np.ndarray:
+    """``W^T F`` by ``csr_matvecs``, as ``csr @ F`` computes it: each entry
+    starts at +0.0 and adds its row's terms in stored order."""
+    indptr, indices, data = VT
+    n, l = indptr.size - 1, F.shape[1]
+    out = np.zeros((n, l))
+    csr_matvecs(n, n, l, indptr, indices, data, F.ravel(), out.ravel())
+    return out
+
+
 @single_threaded
 def enrich(ds: Dataset, graph: WeightGraph, cfg: PropagationConfig) -> EnrichmentMatrix:
     """Run the propagation to a fixed point and sign the result.
@@ -104,10 +135,10 @@ def enrich(ds: Dataset, graph: WeightGraph, cfg: PropagationConfig) -> Enrichmen
         raise ShapeError(f"graph has {graph.n} nodes but dataset has {ds.n} instances")
     Y = ds.Y
     F0 = Y.astype(np.float64)
-    VT = graph.matrix().T.tocsr()
+    VT = _transpose(graph)
     F = F0
     for _ in range(cfg.max_iters):
-        F_next = normalize_step(cfg.alpha * (VT @ F) + (1.0 - cfg.alpha) * F0, Y)
+        F_next = normalize_step(cfg.alpha * _propagate(VT, F) + (1.0 - cfg.alpha) * F0, Y)
         change = np.linalg.norm(F_next - F) / max(1.0, np.linalg.norm(F))
         F = F_next
         if change < cfg.tol:

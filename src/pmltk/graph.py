@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from ._blas import single_threaded
 from .errors import ConfigError, NumericError, ShapeError, ValidationError
@@ -74,8 +73,12 @@ class WeightGraph:
     def n(self) -> int:
         return self.neighbors.shape[0]
 
-    def matrix(self) -> sparse.csr_matrix:
-        """The n x n weight matrix in CSR form (row-sparse, k entries per row)."""
+    def matrix(self):
+        """The n x n weight matrix as a ``scipy.sparse.csr_matrix`` (row-sparse,
+        k entries per row). ``scipy.sparse`` is imported here, on the first
+        call, not with pmltk: no pmltk code path calls this."""
+        from scipy import sparse
+
         n, k = self.neighbors.shape
         indptr = np.arange(0, n * k + 1, k)
         return sparse.csr_matrix(

@@ -14,8 +14,11 @@ systems go through symmetric positive-definite factorizations; no
 matrix is ever inverted explicitly: each is factored by LAPACK's
 ``dpotrf`` and solved by its ``dpotrs``, called directly rather than
 through ``scipy.linalg.cho_factor``/``cho_solve``, whose argument checks
-cost two to three times the LAPACK call on these small systems. The
-bits match scipy's because ``cho_factor(G, lower=True)`` and
+cost two to three times the LAPACK call on these small systems. Both
+come from ``scipy.linalg._flapack``, loaded without ``scipy.linalg``
+(``_blas.scipy_extension``); they are the functions
+``scipy.linalg.lapack`` exports, not numpy's own LAPACK, whose last bits
+differ. The bits match scipy's because ``cho_factor(G, lower=True)`` and
 ``cho_solve`` make these same two calls with the same arguments
 (``lower=1``, ``clean=0``, no overwrite), after the checks that
 ``_cholesky`` and ``_solve`` keep: a Gram that holds an inf or a nan (one
@@ -37,13 +40,16 @@ import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
-from ._blas import single_threaded
+from ._blas import scipy_extension, single_threaded
 from .data import _as_binary, csv_rows, parse_float_row, parse_float_rows, read_table, write_lines
 from .errors import ConfigError, NumericError, ParseError, ShapeError
 
 _log = logging.getLogger(__name__)
+
+# scipy.linalg.lapack re-exports these two from this module
+_flapack = scipy_extension("linalg", "_flapack")
+dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
 
 
 @dataclass(frozen=True)
@@ -188,9 +194,7 @@ def _cholesky(G, what: str) -> np.ndarray:
 def _solve(c, b) -> np.ndarray:
     """Solve ``G x = b`` from ``c = _cholesky(G, ...)`` with ``dpotrs``, as
     ``cho_solve((c, True), b)`` does. A non-finite ``b`` raises
-    ``NumericError``; an empty ``b`` gives an empty solution."""
-    if b.size == 0:
-        return np.empty_like(b)
+    ``NumericError``."""
     if not np.isfinite(b).all():
         raise NumericError("Cholesky solve: right-hand side must not contain infs or NaNs")
     x, info = dpotrs(c, b, lower=1)
@@ -251,10 +255,11 @@ class RidgeSolver:
     keeps the factorization at the smaller of the two Gram matrices.
     The Gram is factored once by ``dpotrf`` and each ``solve`` is one
     ``dpotrs``, the two LAPACK calls ``cho_factor``/``cho_solve`` make,
-    with the same arguments, so the coefficients are bit for bit
-    scipy's. ``solve`` returns the coefficients (``alpha`` in the dual
-    form, ``W`` in the primal one) with the fitted values ``X W`` and
-    ``||W||_F^2``; ``predictor`` turns coefficients into ``W``.
+    with the same arguments and the same functions (scipy's ``_flapack``),
+    so the coefficients are bit for bit scipy's. ``solve`` returns the
+    coefficients (``alpha`` in the dual form, ``W`` in the primal one) with
+    the fitted values ``X W`` and ``||W||_F^2``; ``predictor`` turns
+    coefficients into ``W``.
     """
 
     def __init__(self, X, lam: float):
@@ -329,10 +334,12 @@ def fit(X, Yhat, Y, cfg: TrainerConfig = TrainerConfig()):
         raise ShapeError(
             f"inconsistent shapes: X{X.shape}, Yhat{Yhat.shape}, Y{Y.shape}"
         )
-    if not np.isfinite(X).all() or not np.isfinite(Yhat).all():
-        raise NumericError("non-finite training input")
     n, d = X.shape
     l = Yhat.shape[1]
+    if n == 0 or d == 0 or l == 0:
+        raise ShapeError(f"dimensions must be positive, got n={n} d={d} l={l}")
+    if not np.isfinite(X).all() or not np.isfinite(Yhat).all():
+        raise NumericError("non-finite training input")
     state = TrainerState(
         C=np.where(Y == 1, np.maximum(Yhat, 0.0), 0.0),
         B=np.eye(l),

@@ -10,7 +10,7 @@ from helpers import clustered_dataset
 import pmltk
 from pmltk import TrainerConfig, fit
 from pmltk.data import save
-from pmltk._blas import single_threaded, thread_counts
+from pmltk._blas import scipy_extension, single_threaded, thread_counts
 
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -99,3 +99,35 @@ def test_model_and_predictions_independent_of_blas_threads(tmp_path):
     assert outputs[0][0] == outputs[1][0]
     assert outputs[0][1] == outputs[1][1]
     assert np.isfinite(pmltk.load_model(tmp_path / "model-1.txt").W).all()
+
+
+class TestScipyExtension:
+    def test_kernels_are_scipys_after_a_later_import(self):
+        """pmltk loads the two compiled modules without their packages; a
+        later import of the packages binds the same functions to them."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(pmltk.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        code = """if True:
+            import sys
+            from pmltk import enrichment, trainer
+            assert not {"scipy.linalg", "scipy.sparse"} & set(sys.modules)
+            import scipy.linalg.lapack, scipy.sparse._sparsetools
+            print(trainer.dpotrf is scipy.linalg.lapack.dpotrf,
+                  trainer.dpotrs is scipy.linalg.lapack.dpotrs,
+                  trainer.dpotrf is scipy.linalg._flapack.dpotrf,
+                  enrichment.csr_matvecs is scipy.sparse._sparsetools.csr_matvecs)
+        """
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True"] * 4
+
+    def test_returns_a_loaded_module(self):
+        import scipy.sparse._sparsetools
+
+        assert scipy_extension("sparse", "_sparsetools") is scipy.sparse._sparsetools
+
+    def test_missing_file_named(self):
+        with pytest.raises(ImportError, match=r"scipy\.sparse\._no_such_module: .*_no_such_module"):
+            scipy_extension("sparse", "_no_such_module")

@@ -60,6 +60,67 @@ class TestPropagateStep:
         assert (propagated(monkeypatch, Y, g, 1.0) >= 0).all()
 
 
+def hub_graph():
+    """Node 0 is every other node's neighbor, node 5 is no one's, and some
+    weights are exactly zero."""
+    neighbors = np.array([[1, 2], [0, 2], [0, 1], [0, 4], [0, 3], [0, 3]])
+    weights = np.array([[0.0, 1.0], [0.5, 0.5], [1.0, 0.0], [0.25, 0.75], [0.0, 1.0], [0.6, 0.4]])
+    return WeightGraph(neighbors, weights)
+
+
+def signed_scores(rng, shape):
+    """Scores with negative values and entries of +0.0 and -0.0."""
+    F = rng.normal(size=shape)
+    F[rng.random(shape) < 0.2] = 0.0
+    F[rng.random(shape) < 0.2] = -0.0
+    return F
+
+
+class TestPropagationProduct:
+    """``enrich``'s ``W^T F`` against scipy's ``W.T @ F``, bit for bit."""
+
+    @staticmethod
+    def graphs():
+        rng = np.random.default_rng(3)
+        g = build_graph(rng.normal(size=(40, 4)), KnnConfig(k=5))
+        w = g.weights.copy()
+        w[rng.random(w.shape) < 0.3] = 0.0
+        return [hub_graph(), g, WeightGraph(g.neighbors, w)]
+
+    def test_transpose_holds_scipys_arrays(self):
+        for g in self.graphs():
+            VT = g.matrix().T.tocsr()
+            for got, want in zip(enrichment._transpose(g), (VT.indptr, VT.indices, VT.data)):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("l", [1, 2, 7])
+    def test_product_equals_scipys(self, order, l):
+        rng = np.random.default_rng(l)
+        for g in self.graphs():
+            F = np.asarray(signed_scores(rng, (g.n, l)), order=order)
+            got = enrichment._propagate(enrichment._transpose(g), F)
+            want = g.matrix().T @ F
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_enrich_equals_the_scipy_loop(self, index):
+        g = self.graphs()[index]
+        ds = random_dataset(n=g.n, d=4, l=6, seed=index)
+        cfg = PropagationConfig()
+        VT, F0 = g.matrix().T.tocsr(), ds.Y.astype(np.float64)
+        F = F0
+        for _ in range(cfg.max_iters):
+            F_next = normalize_step(cfg.alpha * (VT @ F) + (1.0 - cfg.alpha) * F0, ds.Y)
+            change = np.linalg.norm(F_next - F) / max(1.0, np.linalg.norm(F))
+            F = F_next
+            if change < cfg.tol:
+                break
+        want = np.where(ds.Y == 1, F, F - 1.0)
+        assert enrich(ds, g, cfg).Yhat.tobytes() == want.tobytes()
+
+
 class TestNormalizeStep:
     def test_hand_computed_row(self):
         F = np.array([[0.2, 0.8, 0.5]])

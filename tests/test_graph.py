@@ -7,7 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.optimize
-from helpers import brute_force_knn, nnls_kkt_residual, nnls_objective, reference_nnls
+from helpers import (
+    brute_force_knn,
+    clustered_dataset,
+    nnls_kkt_residual,
+    nnls_objective,
+    reference_nnls,
+)
 
 import pmltk
 from pmltk import (
@@ -18,6 +24,7 @@ from pmltk import (
     build_graph,
     nnls,
 )
+from pmltk.data import save
 from pmltk.graph import NNLS_STEPS_PER_COLUMN, WeightGraph, _nnls_stack, build_knn, normalize_rows
 
 
@@ -160,17 +167,39 @@ class TestNnls:
             z, *_ = np.linalg.lstsq(A[:, support], b, rcond=None)
             assert np.abs(v[support] - z).max() <= 1e-8
 
-    def test_import_leaves_scipy_optimize_unloaded(self):
-        # importing scipy.optimize costs about 19 MB of resident memory and
-        # a quarter of a second, and nothing in the package needs it
+    def test_import_leaves_scipy_optimize_unloaded(self, tmp_path):
+        # scipy.optimize costs about 19 MB of resident memory, and the
+        # packages scipy.linalg and scipy.sparse about 25 MB and 0.3 s
+        # between them; pmltk needs only two compiled modules of
+        # the latter two, so neither import nor a run of the protocol or of
+        # every command may load any of the three packages
+        data = tmp_path / "toy.sml"
+        save(clustered_dataset(n=40, d=5, l=4, groups=3, seed=8), data, "sparse-multilabel")
         src = os.path.dirname(os.path.dirname(os.path.abspath(pmltk.__file__)))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-        code = "import sys, pmltk, pmltk.cli; print('scipy.optimize' in sys.modules)"
+        code = f"""if True:
+            import contextlib, io, os, sys
+            import pmltk, pmltk.cli
+            data, out = {str(data)!r}, {str(tmp_path)!r}
+            cfg = pmltk.ExperimentConfig(data, splits=1, k=4, cv_folds=2, lambda2_grid=(10.0, 100.0))
+            pmltk.run_benchmark(cfg)
+            path = lambda name: os.path.join(out, name)
+            for argv in (["inject-noise", data, "--out", path("noisy.sml")],
+                         ["enrich", path("noisy.sml"), "--k", "4", "--out", path("yhat.csv")],
+                         ["train", path("noisy.sml"), "--enrichment", path("yhat.csv"), "--k", "4",
+                          "--lambda2", "10", "--out", path("model.txt")],
+                         ["predict", path("model.txt"), path("noisy.sml"), "--out", path("preds.csv")],
+                         ["evaluate", path("preds.csv"), path("noisy.sml")]):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert pmltk.cli.main(argv) == 0, argv
+            print(sorted(set(sys.modules) & {{"scipy.optimize", "scipy.linalg", "scipy.sparse"}}))
+        """
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"
+        assert (tmp_path / "preds.csv").exists()
 
     def test_duplicate_columns(self):
         a = np.array([1.0, 2.0, 0.0])
