@@ -14,11 +14,26 @@ seed (numpy ``SeedSequence`` spawn keys), so adding splits never
 perturbs the results of earlier splits. The run holds BLAS at one
 thread (see ``_blas``), so for a given numpy/scipy build the whole
 report is a deterministic function of (dataset, config, seed).
+
+The cross-validation folds are independent, so ``select_lambda2`` runs
+them on up to one process per usable CPU: the caller runs the first
+block of folds while forked children run the later blocks. Each fold's
+arithmetic is the same in any process and the fold scores are summed in
+the caller in fold order, so the result does not depend on the number
+of processes. Children are forked, not spawned: a spawned worker would
+import numpy, scipy and pmltk again, which costs about as much as the
+folds it would take over. A fork is made only while no other Python
+thread is alive; the bundled OpenBLAS builds stop their own thread pools
+around a fork (``pthread_atfork``).
 """
 
 from __future__ import annotations
 
 import logging
+import os
+import pickle
+import signal
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
@@ -150,6 +165,108 @@ def enrich_dataset(ds: Dataset, cfg: ExperimentConfig) -> EnrichmentMatrix:
     return enrich(ds, build_graph(X, cfg.knn_config()), cfg.propagation_config())
 
 
+def _fold_aps(train: Dataset, cfg: ExperimentConfig, grid: list[float], part) -> np.ndarray:
+    """AP on the held-out fold ``part`` of ``train`` per grid value, each
+    model fit on the rest of ``train`` after one ``enrich_dataset``."""
+    sub = train.subset(np.setdiff1d(np.arange(train.n), part))
+    held = train.subset(part)
+    em = enrich_dataset(sub, cfg)
+    aps = np.zeros(len(grid))
+    for gi, lam in enumerate(grid):
+        model, _, _ = fit(sub.X, em.Yhat, sub.Y, cfg.trainer_config(lam))
+        scores, labels = predict(model, held.X)
+        aps[gi] = evaluate(scores, labels, held.Y).ap
+    return aps
+
+
+def _cv_workers(folds: int) -> int:
+    """Processes that run the CV folds: one per usable CPU, at most one
+    per fold. One, the caller alone, without ``os.fork`` or while another
+    thread is alive, because a forked child holds only the forking thread
+    and would inherit any lock another thread held at the fork."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(folds, cpus or 1))
+
+
+class _Records(logging.Handler):
+    """Keeps the log records it is given, to be taken fold by fold."""
+
+    def __init__(self):
+        super().__init__()
+        self.records: list[logging.LogRecord] = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+    def take(self) -> list[logging.LogRecord]:
+        taken, self.records = self.records, []
+        return taken
+
+
+class _ForkedFolds:
+    """The CV folds ``block`` (fold numbers in order), run by a forked child.
+
+    The child runs its folds until one fails and sends
+    ``{fold: (aps, log records)}`` of the folds it finished back through a
+    pipe. After ``reap``, ``done`` holds them; it stays empty when the fork
+    failed or the child did not write all of it, and the caller then runs
+    the missing folds itself.
+    """
+
+    def __init__(self, block: list[int], run_fold):
+        self.block, self.done, self.pid, self._data = block, {}, None, None
+        read_fd, write_fd = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            return
+        if self.pid == 0:
+            self._child(read_fd, write_fd, run_fold)
+        os.close(write_fd)
+        self._pipe = open(read_fd, "rb")
+
+    def _child(self, read_fd: int, write_fd: int, run_fold):
+        # Leaves only through os._exit, with status 0 once the results are
+        # written: it must never return into the caller's frames.
+        status = 1
+        try:
+            os.close(read_fd)
+            log = logging.getLogger("pmltk")
+            records = _Records()
+            log.handlers, log.propagate = [records], False
+            done = {}
+            try:
+                for i in self.block:
+                    done[i] = (run_fold(i), records.take())
+            finally:
+                with open(write_fd, "wb") as pipe:
+                    pickle.dump(done, pipe)
+                status = 0
+        finally:
+            os._exit(status)
+
+    def read(self):
+        """Read the child's pipe to its end."""
+        if self.pid is not None:
+            self._data = self._pipe.read()
+
+    def reap(self):
+        """Close the pipe and wait for the child, killed first unless its
+        pipe was read to the end; then keep what it sent."""
+        if self.pid is None:
+            return
+        self._pipe.close()
+        if self._data is None:
+            os.kill(self.pid, signal.SIGKILL)
+        _, status = os.waitpid(self.pid, 0)
+        if self._data is not None and os.waitstatus_to_exitcode(status) == 0:
+            self.done = pickle.loads(self._data)
+
+
 @single_threaded
 def select_lambda2(train: Dataset, cfg: ExperimentConfig, seed: int) -> float:
     """Cross-validated ridge weight from ``cfg.lambda2_grid``, or
@@ -158,29 +275,61 @@ def select_lambda2(train: Dataset, cfg: ExperimentConfig, seed: int) -> float:
     ``train`` is split into ``cfg.cv_folds`` folds seeded by ``seed``.
     For each fold the remaining instances are enriched once with
     ``enrich_dataset`` (the enrichment does not depend on the grid
-    value) and a model is fit per grid value with
+    value) and a model is fit per distinct grid value with
     ``cfg.trainer_config``; fold scores are average precision against
     the held-out candidate labels. Highest mean wins, ties go to the
-    smaller value. The mean AP of every grid value and the choice are
-    logged at INFO on the ``pmltk.pipeline`` logger.
+    smaller value. A grid of one distinct value returns it without any
+    fold. The mean AP of every grid value and the choice are logged at
+    INFO on the ``pmltk.pipeline`` logger.
+
+    The folds are cut into contiguous blocks, one per process (see the
+    module docstring): the caller runs the first block, forked children
+    run the others. The caller alone runs every fold when there is one
+    usable CPU, when ``os.fork`` is missing or when another thread is
+    alive. The fold scores are summed in the caller in fold order. A
+    child's log records are handed to the ``pmltk`` loggers in the caller
+    after the earlier folds, so each record reaches the handlers once and
+    in fold order, as in a run in one process. The caller runs every fold
+    whose result no child sent back (the fold failed, the fork failed or
+    the result could not be pickled), so a failure raises the error of the
+    lowest failing fold, as the caller alone would. No child outlives the
+    call.
     """
     if cfg.lambda2 is not None:
         return float(cfg.lambda2)
-    grid = sorted(float(g) for g in cfg.lambda2_grid)
+    grid = sorted({float(g) for g in cfg.lambda2_grid})
     if len(grid) == 1:
         return grid[0]
     folds = cfg.cv_folds
     if train.n < folds:
         raise ConfigError(f"cannot make {folds} folds out of {train.n} training instances")
+    parts = _fold_indices(train.n, folds, seed)
+
+    def run_fold(i: int) -> np.ndarray:
+        return _fold_aps(train, cfg, grid, parts[i])
+
+    own, *shares = [b.tolist() for b in np.array_split(np.arange(folds), _cv_workers(folds))]
+    children: list[_ForkedFolds] = []
     ap_sums = np.zeros(len(grid))
-    for part in _fold_indices(train.n, folds, seed):
-        sub = train.subset(np.setdiff1d(np.arange(train.n), part))
-        held = train.subset(part)
-        em = enrich_dataset(sub, cfg)
-        for gi, lam in enumerate(grid):
-            model, _, _ = fit(sub.X, em.Yhat, sub.Y, cfg.trainer_config(lam))
-            scores, labels = predict(model, held.X)
-            ap_sums[gi] += evaluate(scores, labels, held.Y).ap
+    try:
+        for block in shares:
+            children.append(_ForkedFolds(block, run_fold))
+        for i in own:
+            ap_sums += run_fold(i)
+        for child in children:
+            child.read()
+    finally:
+        for child in children:
+            child.reap()
+    for child in children:
+        for i in child.block:
+            if i in child.done:
+                aps, records = child.done[i]
+                for record in records:
+                    logging.getLogger(record.name).handle(record)
+            else:
+                aps = run_fold(i)
+            ap_sums += aps
     best = int(np.argmax(ap_sums))  # first max = smallest grid value on ties
     _log.info(
         "lambda2 CV mean AP over %d folds: %s; selected %r",

@@ -172,7 +172,8 @@ class TestNnls:
         # packages scipy.linalg and scipy.sparse about 25 MB and 0.3 s
         # between them; pmltk needs only two compiled modules of
         # the latter two, so neither import nor a run of the protocol or of
-        # every command may load any of the three packages
+        # every command may load any of the three packages. The CV folds
+        # fork with os.fork alone, so no process-pool package loads either
         data = tmp_path / "toy.sml"
         save(clustered_dataset(n=40, d=5, l=4, groups=3, seed=8), data, "sparse-multilabel")
         src = os.path.dirname(os.path.dirname(os.path.abspath(pmltk.__file__)))
@@ -193,7 +194,8 @@ class TestNnls:
                          ["evaluate", path("preds.csv"), path("noisy.sml")]):
                 with contextlib.redirect_stdout(io.StringIO()):
                     assert pmltk.cli.main(argv) == 0, argv
-            print(sorted(set(sys.modules) & {{"scipy.optimize", "scipy.linalg", "scipy.sparse"}}))
+            print(sorted(set(sys.modules) & {{"scipy.optimize", "scipy.linalg", "scipy.sparse",
+                                              "multiprocessing", "concurrent.futures"}}))
         """
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)

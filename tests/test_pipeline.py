@@ -4,6 +4,10 @@ import importlib
 import io
 import json
 import logging
+import os
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +33,7 @@ from pmltk import (
     run_benchmark,
     select_lambda2,
 )
+from pmltk import pipeline
 from pmltk.cli import main
 from pmltk.data import save
 from pmltk.metrics import METRIC_NAMES
@@ -92,9 +97,11 @@ class TestSelectLambda2:
     # select_lambda2 reads no file, so its configs name none
 
     def test_singleton_grid_short_circuits(self):
-        # a dataset far too small for any cross-validation: must not matter
+        # a dataset far too small for any cross-validation: must not matter,
+        # also when the one value is repeated
         ds = random_dataset(n=3, d=2, l=3, seed=0)
-        assert select_lambda2(ds, toy_config("", lambda2_grid=(42.0,), cv_folds=5), seed=0) == 42.0
+        for grid in [(42.0,), (42.0, 42.0)]:
+            assert select_lambda2(ds, toy_config("", lambda2_grid=grid, cv_folds=5), seed=0) == 42.0
 
     def test_tie_goes_to_smaller_value(self):
         # perfectly separable data: both grid values reach AP 1 on every fold
@@ -104,7 +111,8 @@ class TestSelectLambda2:
 
     def test_logs_cv_score_table(self, caplog):
         ds = clustered_dataset(n=40, d=6, l=5, groups=4, seed=3, scale=4.0)
-        grid, folds, seed, knn = [100.0, 0.1], 2, 1, KnnConfig(k=3)
+        # a repeated grid value is fit and listed once
+        grid, folds, seed, knn = [100.0, 0.1, 100.0], 2, 1, KnnConfig(k=3)
         cfg = toy_config("", k=3, lambda2_grid=tuple(grid), cv_folds=folds)
         with caplog.at_level(logging.INFO, logger="pmltk"):
             lam = select_lambda2(ds, cfg, seed=seed)
@@ -114,7 +122,9 @@ class TestSelectLambda2:
         assert float(chosen) == lam
         prefix, _, table = head.partition(": ")
         assert prefix == f"lambda2 CV mean AP over {folds} folds"
-        logged = {float(g): float(ap) for g, ap in (e.split(": ") for e in table.split(", "))}
+        entries = [e.split(": ") for e in table.split(", ")]
+        logged = {float(g): float(ap) for g, ap in entries}
+        assert len(entries) == len(logged)
         # the same folds, enrichments and fits, made by hand
         expect = dict.fromkeys(sorted(grid), 0.0)
         for part in _fold_indices(ds.n, folds, seed):
@@ -131,6 +141,199 @@ class TestSelectLambda2:
         ds = random_dataset(n=4, d=2, l=3, seed=1)
         with pytest.raises(ConfigError):
             select_lambda2(ds, toy_config("", k=2, lambda2_grid=(1.0, 10.0), cv_folds=5), seed=0)
+
+
+def run_python(code):
+    """stdout of ``code`` run by a fresh interpreter that imports pmltk from
+    this checkout; fails the test on a non-zero exit or after 120 s."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pmltk.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def use_workers(monkeypatch, count):
+    monkeypatch.setattr(pipeline, "_cv_workers", lambda folds: count)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestForkedFolds:
+    """``select_lambda2`` spread over forked children acts as the caller alone."""
+
+    # capped fits with a distinct warning on every fold
+    DATA = dict(n=40, d=6, l=5, groups=4, seed=3, scale=4.0)
+
+    def test_same_model_report_and_stderr_for_any_worker_count(
+            self, toy_file, tmp_path, capsys, monkeypatch):
+        # more workers than folds or CPUs is allowed too
+        out = {}
+        for count in (1, 2, 5):
+            use_workers(monkeypatch, count)
+            model = tmp_path / "model.txt"
+            assert main(["train", str(toy_file), "--k", "4", "--cv-folds", "5", "--seed", "2",
+                         "--out", str(model)]) == 0
+            report = run_benchmark(toy_config(toy_file, cv_folds=5))
+            assert_no_child_left()
+            out[count] = (model.read_bytes(), capsys.readouterr(), report)
+        assert "WARNING: fit stopped at outer_max" in out[1][1].err
+        assert out[1] == out[2] == out[5]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+    def test_one_cpu_process_matches_forked_run(self, toy_file, tmp_path, capsys, monkeypatch):
+        cfg = toy_config(toy_file, cv_folds=5)
+        args = ["train", str(toy_file), "--k", "4", "--cv-folds", "5", "--seed", "2"]
+        code = f"""if True:
+            import contextlib, io, json, os
+            os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
+            import pmltk, pmltk.cli
+            from pmltk import ExperimentConfig, pipeline
+            assert pipeline._cv_workers(5) == 1
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert pmltk.cli.main({args + ["--out", str(tmp_path / "one.txt")]!r}) == 0
+            print(json.dumps(pmltk.run_benchmark({cfg!r})))
+        """
+        one_cpu = json.loads(run_python(code))
+        use_workers(monkeypatch, 3)
+        assert main(args + ["--out", str(tmp_path / "forked.txt")]) == 0
+        capsys.readouterr()
+        assert one_cpu == json.loads(json.dumps(run_benchmark(cfg)))
+        assert (tmp_path / "one.txt").read_bytes() == (tmp_path / "forked.txt").read_bytes()
+
+    @pytest.mark.parametrize("failing", [(3, 4), (1, 4)])
+    def test_lowest_failing_fold_raises_as_in_one_process(self, monkeypatch, caplog, failing):
+        # with 3 workers the blocks are folds 0-1 (caller), 2-3 and 4 (children)
+        ds, folds, seed = clustered_dataset(**self.DATA), 5, 1
+        cfg = toy_config("", k=3, lambda2_grid=(10.0, 100.0), cv_folds=folds)
+        parts = _fold_indices(ds.n, folds, seed)
+        rows = {f: ds.X[np.setdiff1d(np.arange(ds.n), parts[f])] for f in failing}
+        real_fit = pipeline.fit
+
+        def failing_fit(X, *args):
+            for f, X_f in rows.items():
+                if X.shape == X_f.shape and np.array_equal(X, X_f):
+                    raise ParseError(f"fold {f} failed", line=f)
+            return real_fit(X, *args)
+
+        monkeypatch.setattr(pipeline, "fit", failing_fit)
+        seen = {}
+        for count in (1, 3):
+            use_workers(monkeypatch, count)
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="pmltk"), pytest.raises(ParseError) as info:
+                select_lambda2(ds, cfg, seed)
+            assert_no_child_left()
+            seen[count] = (type(info.value), str(info.value), info.value.line,
+                           [r.getMessage() for r in caplog.records])
+        first = min(failing)
+        assert seen[3] == seen[1]
+        assert seen[1][:3] == (ParseError, f"line {first}: fold {first} failed", first)
+
+    def test_interrupt_in_caller_leaves_no_child(self, monkeypatch):
+        caller, real_fit = os.getpid(), pipeline.fit
+
+        def interrupted_fit(*args):
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+            return real_fit(*args)
+
+        monkeypatch.setattr(pipeline, "fit", interrupted_fit)
+        use_workers(monkeypatch, 3)
+        with pytest.raises(KeyboardInterrupt):
+            select_lambda2(clustered_dataset(**self.DATA), toy_config("", k=3, cv_folds=5), 1)
+        assert_no_child_left()
+
+    def test_fold_warnings_reach_handlers_once_in_fold_order(self, monkeypatch, caplog):
+        ds = clustered_dataset(**self.DATA)
+        cfg = toy_config("", k=3, lambda2_grid=(10.0, 100.0), cv_folds=5)
+        logs = {}
+        for count in (1, 2, 3):
+            use_workers(monkeypatch, count)
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="pmltk"):
+                select_lambda2(ds, cfg, seed=1)
+            logs[count] = [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+        capped = [m for name, _, m in logs[1] if name == "pmltk.trainer"]
+        assert len(capped) > 5 and len(set(capped)) == len(capped)
+        assert logs[1][-1][0] == "pmltk.pipeline"
+        assert logs[2] == logs[1] and logs[3] == logs[1]
+
+    def test_other_thread_keeps_every_fold_in_caller(self, monkeypatch):
+        pids, real_fit = [], pipeline.fit
+
+        def recording_fit(*args):
+            pids.append(os.getpid())
+            return real_fit(*args)
+
+        monkeypatch.setattr(pipeline, "fit", recording_fit)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait, args=(60,))
+        thread.start()
+        try:
+            assert pipeline._cv_workers(5) == 1
+            select_lambda2(clustered_dataset(**self.DATA), toy_config("", k=3, cv_folds=5), 1)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert pids == [os.getpid()] * 10
+
+    @pytest.mark.parametrize("cause", ["fork refused", "results not picklable"])
+    def test_folds_not_sent_back_run_in_caller(self, monkeypatch, caplog, cause):
+        pids, real_fit = [], pipeline.fit
+
+        class Unsendable:
+            def __repr__(self):
+                return "unsendable"
+
+            def __reduce__(self):
+                raise TypeError("cannot be pickled")
+
+        def recording_fit(*args):
+            pids.append(os.getpid())
+            if cause == "results not picklable":
+                logging.getLogger("pmltk.trainer").warning("fit with %r", Unsendable())
+            return real_fit(*args)
+
+        def refused_fork():
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(pipeline, "fit", recording_fit)
+        if cause == "fork refused":
+            monkeypatch.setattr(os, "fork", refused_fork)
+        ds, cfg = clustered_dataset(**self.DATA), toy_config("", k=3, cv_folds=5)
+        seen = {}
+        for count in (1, 3):
+            use_workers(monkeypatch, count)
+            caplog.clear()
+            pids.clear()
+            with caplog.at_level(logging.INFO, logger="pmltk"):
+                lam = select_lambda2(ds, cfg, 1)
+            assert_no_child_left()
+            seen[count] = (lam, list(pids), [r.getMessage() for r in caplog.records])
+        assert seen[3] == seen[1]
+        assert seen[1][1] == [os.getpid()] * 10
+
+    def test_fork_after_threaded_blas_finishes(self, toy_file):
+        # OpenBLAS has started its own threads before the children are forked
+        ds, cfg = load(toy_file), toy_config(toy_file, cv_folds=5)
+        code = f"""if True:
+            import numpy as np
+            import pmltk
+            from pmltk import ExperimentConfig, pipeline
+            a = np.random.default_rng(0).random((400, 400))
+            assert np.isfinite((a @ a).sum())
+            pipeline._cv_workers = lambda folds: 3
+            print(pmltk.select_lambda2(pmltk.load({str(toy_file)!r}), {cfg!r}, 1))
+        """
+        assert float(run_python(code)) == select_lambda2(ds, cfg, 1)
 
 
 class TestRunPipeline:
