@@ -515,6 +515,20 @@ def inject_noise(ds: Dataset, cfg: NoiseConfig) -> Dataset:
     return Dataset(ds.X, Y, ds.Ytruth)
 
 
+def _split_rows(n: int, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted train and test row indices of ``split`` for n rows."""
+    if n < 2:
+        raise ValidationError(f"need at least 2 instances to split, got {n}")
+    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    perm = rng.permutation(n)
+    t = math.ceil(n * spec.train_fraction - 1e-9)
+    if not 0 < t < n:
+        raise ValidationError(
+            f"train fraction {spec.train_fraction} of {n} instances leaves a half empty"
+        )
+    return np.sort(perm[:t]), np.sort(perm[t:])
+
+
 def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     """Random train/test partition.
 
@@ -523,11 +537,5 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     is computed with a 1e-9 slack so binary fractions are not pushed up
     a whole index by float error). Both subsets keep original row order.
     """
-    if ds.n < 2:
-        raise ValidationError(f"need at least 2 instances to split, got {ds.n}")
-    rng = np.random.Generator(np.random.PCG64(spec.seed))
-    perm = rng.permutation(ds.n)
-    t = math.ceil(ds.n * spec.train_fraction - 1e-9)
-    train_idx = np.sort(perm[:t])
-    test_idx = np.sort(perm[t:])
-    return ds.subset(train_idx), ds.subset(test_idx)
+    train_rows, test_rows = _split_rows(ds.n, spec)
+    return ds.subset(train_rows), ds.subset(test_rows)

@@ -2,14 +2,18 @@
 
 Each instance is expressed as a non-negative combination of its k
 nearest neighbors (Euclidean distance, brute force by design at desk
-scale: one Gram product for all pairs, then an exact re-rank of the
-rows near each k-th distance). The per-instance weights solve a
-non-negative least squares problem with the exact Lawson-Hanson
-active-set method on the k x k normal equations. One loop runs it for
-every instance at once, in lock step over the stack of normal
-equations, and gives each instance the result of solving it alone.
-Rows are then normalized to sum to one, yielding the propagation
-weight matrix.
+scale: Gram products over blocks of rows, then an exact re-rank of the
+rows near each k-th distance). The search, the re-rank and the gathers
+of the weight solve each work on blocks of about ``BLOCK_VALUES``
+values: the search holds the distances of a block of rows to all n
+rows, O(block * n) memory instead of three n x n arrays (the Gram,
+its partitioned copy and the candidate mask). The per-instance weights
+solve a non-negative least squares problem with the exact
+Lawson-Hanson active-set method on the k x k normal equations. One
+loop runs it for every instance at once, in lock step over the stack
+of normal equations, and gives each instance the result of solving it
+alone. Rows are then normalized to sum to one, yielding the
+propagation weight matrix.
 """
 
 from __future__ import annotations
@@ -29,6 +33,10 @@ NNLS_TOL = 1e-10
 
 #: NNLS outer steps allowed per column of ``A`` (plus ten) before it stops.
 NNLS_STEPS_PER_COLUMN = 3
+
+#: Values per block in the row-blocked loops (Gram rows in ``build_knn``, the
+#: exact re-rank and ``build_graph``'s gathers), small next to X.
+BLOCK_VALUES = 2**16
 
 
 @dataclass(frozen=True)
@@ -92,13 +100,13 @@ def build_knn(X: np.ndarray, cfg: KnnConfig) -> np.ndarray:
     Distance ties are broken toward the smaller index, which makes the
     result deterministic and lets duplicated rows resolve predictably.
 
-    All squared distances come from one Gram product,
-    ``|xi|**2 + |xj|**2 - 2 xi.xj``. That form can be off by rounding
-    (badly so when the rows share a large offset), so it only picks
-    candidates: every row whose Gram distance lies within a rounding
-    bound of the k-th smallest. The candidates are then ranked by the
-    difference form ``|xj - xi|**2``, so the lists are those of an exact
-    difference-form scan.
+    Squared distances come from Gram products over blocks of rows,
+    ``|xi|**2 + |xj|**2 - 2 xi.xj``, so no n x n array is formed. That
+    form can be off by rounding (badly so when the rows share a large
+    offset), so it only picks candidates: every row whose Gram distance
+    lies within a rounding bound of the k-th smallest. The candidates
+    are then ranked by the difference form ``|xj - xi|**2``, so the
+    lists are those of an exact difference-form scan.
     """
     X = np.asarray(X, dtype=np.float64)
     if not np.isfinite(X).all():
@@ -111,27 +119,34 @@ def build_knn(X: np.ndarray, cfg: KnnConfig) -> np.ndarray:
     # every squared distance is at most (|xi| + |xj|)**2 <= 4 max |x|**2
     if not np.isfinite(4.0 * sq.max()):
         raise NumericError("feature rows too large: squared distances overflow")
-    # built in place so that only one n x n array is live
-    gram = X @ X.T
-    gram *= -2.0
-    gram += sq[:, None]
-    gram += sq[None, :]
-    np.fill_diagonal(gram, np.inf)
-    kth = np.partition(gram, k - 1, axis=1)[:, k - 1]
     # Each form errs by at most about (d + 3) * eps/2 * (|xi| + |xj|)**2, and
     # a row of the exact top k has a Gram distance within twice the sum of
-    # both errors of the k-th smallest; this bound is larger than that.
+    # both errors of the k-th smallest; this bound is larger than that. It
+    # holds however the Gram entries are summed, so for any row blocks.
     norms = np.sqrt(sq)
     slack = 4 * (d + 3) * np.finfo(np.float64).eps * (norms + norms.max()) ** 2
-    rows, cols = np.nonzero(gram <= (kth + slack)[:, None])
+    rows, cols = [], []
+    step = max(1, BLOCK_VALUES // n)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        # built in place so that only one block of distances is live
+        gram = X[lo:hi] @ X.T
+        gram *= -2.0
+        gram += sq[lo:hi, None]
+        gram += sq[None, :]
+        gram[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+        kth = np.partition(gram, k - 1, axis=1)[:, k - 1]
+        block_rows, block_cols = np.nonzero(gram <= (kth + slack[lo:hi])[:, None])
+        rows.append(block_rows + lo)
+        cols.append(block_cols)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
     exact = np.empty(rows.size)
-    # blocks of about 2**16 values keep the gathered rows small next to X
-    step = max(1, 2**16 // d)
+    step = max(1, BLOCK_VALUES // d)
     for lo in range(0, rows.size, step):
         diff = X[cols[lo:lo + step]] - X[rows[lo:lo + step]]
         exact[lo:lo + step] = np.einsum("ij,ij->i", diff, diff)
-    # lexsort is stable and np.nonzero lists columns in ascending order,
-    # so exact ties keep the smaller index first
+    # lexsort is stable, and the blocks list rows and then columns in
+    # ascending order, so exact ties keep the smaller index first
     order = np.lexsort((exact, rows))
     first = np.searchsorted(rows, np.arange(n))
     return cols[order][first[:, None] + np.arange(k)]
@@ -267,8 +282,7 @@ def build_graph(X: np.ndarray, cfg: KnnConfig) -> WeightGraph:
     n, k = neighbors.shape
     G = np.empty((n, k, k))
     c = np.empty((n, k))
-    # blocks of about 2**16 gathered values keep the neighbor rows small next to X
-    step = max(1, 2**16 // (k * X.shape[1]))
+    step = max(1, BLOCK_VALUES // (k * X.shape[1]))
     for lo in range(0, n, step):
         A = X[neighbors[lo:lo + step]]
         G[lo:lo + step] = np.matmul(A, A.transpose(0, 2, 1))

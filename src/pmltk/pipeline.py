@@ -46,9 +46,9 @@ from .data import (
     Dataset,
     NoiseConfig,
     SplitSpec,
+    _split_rows,
     inject_noise,
     load,
-    split,
 )
 from .enrichment import EnrichmentMatrix, PropagationConfig, enrich
 from .errors import ConfigError, DataError, PmltkError
@@ -383,7 +383,11 @@ def fit_pipeline(train: Dataset, cfg: ExperimentConfig, split_index: int,
 @single_threaded
 def run_splits(cfg: ExperimentConfig) -> tuple[list[MetricsReport], list[float]]:
     """Repeated-split protocol: the test report and the selected lambda2 of
-    every split. Writes and prints nothing."""
+    every split. Writes and prints nothing.
+
+    Each split takes the rows ``split`` would. Its training rows are
+    gathered for ``fit_pipeline`` and dropped when it returns; its test
+    rows are gathered only then, so the fit never holds them."""
     # corrupt once: all splits share the same noisy dataset
     ds = load(cfg.dataset, cfg.data_format)
     noisy = inject_noise(ds, NoiseConfig(a=cfg.noise, seed=derive_seed(cfg.seed, _STAGE_NOISE)))
@@ -393,10 +397,12 @@ def run_splits(cfg: ExperimentConfig) -> tuple[list[MetricsReport], list[float]]
         try:
             with _stage("split"):
                 spec = SplitSpec(cfg.split_fraction, derive_seed(cfg.seed, _STAGE_SPLIT, i))
-                train, test = split(noisy, spec)
-            model, _, lam2 = fit_pipeline(train, cfg, i)
+                train_rows, test_rows = _split_rows(noisy.n, spec)
+            model, _, lam2 = fit_pipeline(noisy.subset(train_rows), cfg, i)
             with _stage("evaluation"):
+                test = noisy.subset(test_rows)
                 report = evaluate(*predict(model, test.X), test.Ytruth)
+                del test  # not held through the next split's fit
         except PmltkError as exc:
             exc.args = (f"split {i} failed: {exc}",)
             raise

@@ -20,10 +20,16 @@ come from ``scipy.linalg._flapack``, loaded without ``scipy.linalg``
 ``scipy.linalg.lapack`` exports, not numpy's own LAPACK, whose last bits
 differ. The bits match scipy's because ``cho_factor(G, lower=True)`` and
 ``cho_solve`` make these same two calls with the same arguments
-(``lower=1``, ``clean=0``, no overwrite), after the checks that
-``_cholesky`` and ``_solve`` keep: a Gram that holds an inf or a nan (one
-that overflowed), or that is not positive definite, raises
-``NumericError``, and so does a non-finite right-hand side.
+(``lower=1``, ``clean=0``), after the checks that ``_cholesky`` and
+``_solve`` keep: a Gram that holds an inf or a nan (one that overflowed),
+or that is not positive definite, raises ``NumericError``, and so does a
+non-finite right-hand side. ``_cholesky`` factors the Gram in place
+(``overwrite_a=1`` on the Fortran-ordered view ``G.T``), where
+``cho_factor`` factors a Fortran-ordered copy. Every Gram is built for
+that one call, with ``A @ A.T`` or ``A.T @ A``, which numpy forms exactly
+symmetric, so ``G.T`` is the same matrix in the copy's layout; writing in
+place changes only where ``dpotrf`` writes, not what it computes, and
+the factor keeps its bytes without a second Gram.
 
 The loop touches ``W`` only through the fitted values ``X W`` and
 ``||W||_F^2``, which the ridge step returns and the state carries. When
@@ -175,13 +181,15 @@ def objective(state: TrainerState, Yhat, cfg: TrainerConfig) -> float:
 
 
 def _cholesky(G, what: str) -> np.ndarray:
-    """Lower Cholesky factor of the SPD matrix ``G``, from ``dpotrf`` as
-    ``cho_factor(G, lower=True)`` calls it. A ``G`` that holds an inf or a
-    nan, or that is not positive definite, raises ``NumericError``
-    prefixed ``"<what> factorization failed: "``."""
+    """Lower Cholesky factor of the exactly symmetric SPD matrix ``G``,
+    from ``dpotrf`` as ``cho_factor(G, lower=True)`` calls it. ``G`` is
+    consumed: a C-ordered ``G`` is factored in place, through its
+    Fortran-ordered transpose, and the factor shares its memory. A ``G``
+    that holds an inf or a nan, or that is not positive definite, raises
+    ``NumericError`` prefixed ``"<what> factorization failed: "``."""
     if not np.isfinite(G).all():
         raise NumericError(f"{what} factorization failed: array must not contain infs or NaNs")
-    c, info = dpotrf(G, lower=1, clean=0)
+    c, info = dpotrf(G.T, lower=1, clean=0, overwrite_a=1)
     if info > 0:
         raise NumericError(
             f"{what} factorization failed: {info}-th leading minor of the array is not positive definite"

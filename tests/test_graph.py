@@ -2,6 +2,7 @@ import importlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -98,8 +99,9 @@ class TestBuildKnn:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_agrees_with_brute_force(self, seed):
+        # one block of Gram rows, then 2, 4 and 8 at 300, 500 and 700 rows
+        n = (30, 60, 300, 500, 700)[seed]
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(10, 60))
         # integer coordinates make both distance computations exact,
         # so ties are real and the tie-break rule is actually exercised
         X = rng.integers(0, 4, size=(n, 3)).astype(np.float64)
@@ -111,8 +113,20 @@ class TestBuildKnn:
     @pytest.mark.parametrize("offset", [0.0, 1e6, 1e7])
     def test_agrees_with_brute_force_floats(self, offset):
         rng = np.random.default_rng(99)
-        X = rng.normal(size=(200, 4)) + offset
+        # six blocks of Gram rows
+        X = rng.normal(size=(600, 4)) + offset
         assert (build_knn(X, KnnConfig(k=7)) == brute_force_knn(X, 7)).all()
+
+    def test_holds_no_n_by_n_array(self):
+        n = 1500
+        X = np.random.default_rng(3).integers(0, 4, size=(n, 8)).astype(np.float64)
+        tracemalloc.start()
+        try:
+            build_knn(X, KnnConfig(k=10))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
 
 
 class TestNnls:

@@ -22,7 +22,9 @@ from pmltk import (
     NoiseConfig,
     ParseError,
     PropagationConfig,
+    SplitSpec,
     TrainerConfig,
+    ValidationError,
     build_graph,
     enrich,
     evaluate,
@@ -32,12 +34,20 @@ from pmltk import (
     predict,
     run_benchmark,
     select_lambda2,
+    split,
 )
 from pmltk import pipeline
 from pmltk.cli import main
-from pmltk.data import save
+from pmltk.data import Dataset, save
 from pmltk.metrics import METRIC_NAMES
-from pmltk.pipeline import _fold_indices, _stage, derive_seed, transform_features
+from pmltk.pipeline import (
+    _STAGE_NOISE,
+    _STAGE_SPLIT,
+    _fold_indices,
+    _stage,
+    derive_seed,
+    transform_features,
+)
 from pmltk.trainer import load_model, load_predictions, save_model
 
 
@@ -479,6 +489,46 @@ class TestRunBenchmark:
         assert main(toy_args(toy_file, "--out", str(b))) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestSplitOrder:
+    """``run_splits`` gathers a split's test rows only after its fit, and
+    they are the rows ``split`` takes."""
+
+    def test_test_rows_gathered_after_the_fit(self, toy_file, monkeypatch):
+        # a fixed lambda2 runs no CV folds, so every subset is a split's
+        cfg = toy_config(toy_file, lambda2=10.0)
+        events = []
+        subset, fit_pipeline = Dataset.subset, pipeline.fit_pipeline
+
+        def traced_subset(ds, indices):
+            events.append(("rows", np.asarray(indices).tolist()))
+            return subset(ds, indices)
+
+        def traced_fit(train, *args, **kwargs):
+            events.append(("fit", train.n))
+            return fit_pipeline(train, *args, **kwargs)
+
+        monkeypatch.setattr(Dataset, "subset", traced_subset)
+        monkeypatch.setattr(pipeline, "fit_pipeline", traced_fit)
+        run_benchmark(cfg)
+        noisy = inject_noise(load(str(toy_file)),
+                             NoiseConfig(cfg.noise, derive_seed(cfg.seed, _STAGE_NOISE)))
+        run_events = events[:]
+        for i in range(cfg.splits):
+            del events[:]
+            split(noisy, SplitSpec(cfg.split_fraction, derive_seed(cfg.seed, _STAGE_SPLIT, i)))
+            (_, train_rows), (_, test_rows) = events
+            assert run_events[3 * i:3 * i + 3] == [
+                ("rows", train_rows), ("fit", len(train_rows)), ("rows", test_rows),
+            ]
+        assert len(run_events) == 3 * cfg.splits
+
+    def test_empty_half_fails_before_the_fit(self, toy_file, monkeypatch):
+        monkeypatch.setattr(pipeline, "fit_pipeline", None)
+        with pytest.raises(ValidationError, match="^split 0 failed: split stage: train fraction "
+                                                  "0.99 of 48 instances leaves a half empty$"):
+            run_benchmark(toy_config(toy_file, split_fraction=0.99))
 
 
 class TestErrorContext:

@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -314,9 +315,25 @@ class TestFit:
         assert caplog.records == []
 
 
+def trainer_grams(n, l, rng):
+    """The Gram forms the trainer factors, built as it builds them:
+    ``B B^T + I`` (confidence update), ``2 C^T C + tau I`` (ADMM) and the
+    ridge Gram ``X X^T + lambda I`` (dual) or ``X^T X + lambda I`` (primal)."""
+    B = rng.normal(size=(l, l))
+    C = rng.random((n, l))
+    X = (rng.random((n, n + 50)) < 0.05) * 1.0
+    Xp = np.ascontiguousarray(X[:, :n // 2])
+    grams = {"confidence": (B @ B.T, 1.0), "admm": (2.0 * (C.T @ C), 1.0),
+             "ridge-dual": (X @ X.T, 10.0), "ridge-primal": (Xp.T @ Xp, 10.0)}
+    for G, shift in grams.values():
+        G.flat[::G.shape[0] + 1] += shift
+    return {name: G for name, (G, _) in grams.items()}
+
+
 class TestCholesky:
     """``_cholesky``/``_solve`` make the LAPACK calls ``cho_factor`` and
-    ``cho_solve`` make, so their results are the same bytes."""
+    ``cho_solve`` make, so their results are the same bytes. ``_cholesky``
+    factors the Gram it is given in place."""
 
     @pytest.mark.parametrize("n", [27, 45, 265, 489])
     def test_byte_equal_to_scipy(self, n):
@@ -324,14 +341,39 @@ class TestCholesky:
         A = rng.normal(size=(n + 3, n))
         G = A.T @ A
         G.flat[::n + 1] += 1.0
+        factor = cho_factor(G.copy(), lower=True)
         c = _cholesky(G, "test")
-        factor = cho_factor(G, lower=True)
+        assert np.shares_memory(c, G)
         assert c.tobytes() == factor[0].tobytes()
         b = rng.normal(size=(n, 7))
         for rhs in (b, np.asfortranarray(b), rng.normal(size=(7, n)).T):
             got, want = _solve(c, rhs), cho_solve(factor, rhs)
             assert got.tobytes() == want.tobytes()
             assert got.flags.f_contiguous == want.flags.f_contiguous
+
+    @pytest.mark.parametrize("l", [27, 45])
+    @pytest.mark.parametrize("n", [265, 489, 662])
+    def test_trainer_grams_factor_in_place(self, n, l):
+        # in place, dpotrf reads the transpose of G: the same matrix only
+        # because numpy forms A A^T and A^T A exactly symmetric
+        for name, G in trainer_grams(n, l, np.random.default_rng(n * l)).items():
+            assert (G == G.T).all(), name
+            want = cho_factor(G.copy(), lower=True)[0]
+            c = _cholesky(G, "test")
+            assert np.shares_memory(c, G), name
+            assert c.tobytes() == want.tobytes(), name
+
+    def test_ridge_solver_holds_one_gram(self):
+        # the n x n dual Gram and its finiteness mask, but no second copy
+        n, d = 600, 900
+        X = np.random.default_rng(0).normal(size=(n, d))
+        tracemalloc.start()
+        try:
+            RidgeSolver(X, 10.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 8
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_right_hand_side(self, bad):
