@@ -17,7 +17,8 @@ report is a deterministic function of (dataset, config, seed).
 
 The cross-validation folds are independent, so ``select_lambda2`` runs
 them on up to one process per usable CPU: the caller runs the first
-block of folds while forked children run the later blocks. Each fold's
+block of folds while forked children run the later blocks, and a block
+a child did not send back whole runs in the caller. Each fold's
 arithmetic is the same in any process and the fold scores are summed in
 the caller in fold order, so the result does not depend on the number
 of processes. Children are forked, not spawned: a spawned worker would
@@ -34,7 +35,7 @@ import os
 import pickle
 import signal
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -191,7 +192,7 @@ def _cv_workers(folds: int) -> int:
 
 
 class _Records(logging.Handler):
-    """Keeps the log records it is given, to be taken fold by fold."""
+    """Keeps the log records it is given, in ``records``."""
 
     def __init__(self):
         super().__init__()
@@ -200,30 +201,18 @@ class _Records(logging.Handler):
     def emit(self, record):
         self.records.append(record)
 
-    def take(self) -> list[logging.LogRecord]:
-        taken, self.records = self.records, []
-        return taken
-
 
 class _ForkedFolds:
-    """The CV folds ``block`` (fold numbers in order), run by a forked child.
-
-    The child runs its folds until one fails and sends
-    ``{fold: (aps, log records)}`` of the folds it finished back through a
-    pipe. After ``reap``, ``done`` holds them; it stays empty when the fork
-    failed or the child did not write all of it, and the caller then runs
-    the missing folds itself.
-    """
+    """The CV folds ``block`` (fold numbers in order), run by a forked child
+    that sends ``(APs in fold order, log records)`` back through a pipe once
+    it has run them all. ``join`` returns them, or None when the fork failed
+    or the child did not send them whole."""
 
     def __init__(self, block: list[int], run_fold):
-        self.block, self.done, self.pid, self._data = block, {}, None, None
+        self.block, self.pid = block, None
         read_fd, write_fd = os.pipe()
-        try:
+        with suppress(OSError):  # no child: the pipe reads empty
             self.pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
-            return
         if self.pid == 0:
             self._child(read_fd, write_fd, run_fold)
         os.close(write_fd)
@@ -238,33 +227,30 @@ class _ForkedFolds:
             log = logging.getLogger("pmltk")
             records = _Records()
             log.handlers, log.propagate = [records], False
-            done = {}
-            try:
-                for i in self.block:
-                    done[i] = (run_fold(i), records.take())
-            finally:
-                with open(write_fd, "wb") as pipe:
-                    pickle.dump(done, pipe)
-                status = 0
+            aps = [run_fold(i) for i in self.block]
+            with open(write_fd, "wb") as pipe:
+                pickle.dump((aps, records.records), pipe)
+            status = 0
         finally:
             os._exit(status)
 
-    def read(self):
-        """Read the child's pipe to its end."""
-        if self.pid is not None:
-            self._data = self._pipe.read()
-
-    def reap(self):
-        """Close the pipe and wait for the child, killed first unless its
-        pipe was read to the end; then keep what it sent."""
+    def join(self):
+        """Read the pipe to its end, then reap the child: what it sent, or None."""
+        with self._pipe:
+            data = self._pipe.read()
         if self.pid is None:
-            return
-        self._pipe.close()
-        if self._data is None:
-            os.kill(self.pid, signal.SIGKILL)
+            return None
         _, status = os.waitpid(self.pid, 0)
-        if self._data is not None and os.waitstatus_to_exitcode(status) == 0:
-            self.done = pickle.loads(self._data)
+        self.pid = None
+        return pickle.loads(data) if os.waitstatus_to_exitcode(status) == 0 else None
+
+    def kill(self):
+        """Close the pipe, then kill and reap the child unless it was joined."""
+        self._pipe.close()
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
 
 
 @single_threaded
@@ -289,11 +275,11 @@ def select_lambda2(train: Dataset, cfg: ExperimentConfig, seed: int) -> float:
     alive. The fold scores are summed in the caller in fold order. A
     child's log records are handed to the ``pmltk`` loggers in the caller
     after the earlier folds, so each record reaches the handlers once and
-    in fold order, as in a run in one process. The caller runs every fold
-    whose result no child sent back (the fold failed, the fork failed or
-    the result could not be pickled), so a failure raises the error of the
-    lowest failing fold, as the caller alone would. No child outlives the
-    call.
+    in fold order, as in a run in one process. A block a child did not
+    send back whole (a fold failed, the fork failed or the result could
+    not be pickled) runs in the caller, so a failure raises the error of
+    the lowest failing fold, as the caller alone would. No child outlives
+    the call.
     """
     if cfg.lambda2 is not None:
         return float(cfg.lambda2)
@@ -317,19 +303,14 @@ def select_lambda2(train: Dataset, cfg: ExperimentConfig, seed: int) -> float:
         for i in own:
             ap_sums += run_fold(i)
         for child in children:
-            child.read()
+            block_aps, records = child.join() or ([run_fold(i) for i in child.block], [])
+            for record in records:
+                logging.getLogger(record.name).handle(record)
+            for aps in block_aps:
+                ap_sums += aps
     finally:
         for child in children:
-            child.reap()
-    for child in children:
-        for i in child.block:
-            if i in child.done:
-                aps, records = child.done[i]
-                for record in records:
-                    logging.getLogger(record.name).handle(record)
-            else:
-                aps = run_fold(i)
-            ap_sums += aps
+            child.kill()
     best = int(np.argmax(ap_sums))  # first max = smallest grid value on ties
     _log.info(
         "lambda2 CV mean AP over %d folds: %s; selected %r",

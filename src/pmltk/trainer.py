@@ -235,7 +235,8 @@ def update_b_admm(state: TrainerState, Yhat, cfg: TrainerConfig):
 
     Runs ``cfg.admm_iters`` passes of: auxiliary solve against the data
     term, singular value thresholding at ``lambda1 / tau``, multiplier
-    ascent. Returns the new ``(Bhat, B, Theta)`` triple.
+    ascent. Returns the new ``(Bhat, B, Theta)`` triple. ``Bhat`` is the
+    last pass's auxiliary, an output only: ``state.Bhat`` is not read.
     """
     C = state.C
     tau = cfg.tau
@@ -243,7 +244,7 @@ def update_b_admm(state: TrainerState, Yhat, cfg: TrainerConfig):
     G.flat[::G.shape[0] + 1] += tau
     factor = _cholesky(G, "ADMM auxiliary")
     data_term = 2.0 * (C.T @ Yhat)
-    B, Bhat, Theta = state.B, state.Bhat, state.Theta
+    B, Theta = state.B, state.Theta
     for it in range(cfg.admm_iters):
         Bhat = _solve(factor, data_term + tau * B + Theta)
         try:
@@ -453,32 +454,23 @@ def save_predictions(scores, labels, path) -> None:
 
 
 def load_predictions(path):
-    """Read a ``save_predictions`` file: the scores block in one C-level
-    pass (``parse_float_rows``), the labels with ``int()``. A bad row
-    fails as in a row by row read that checks the separator, the scores
-    and then the labels: the first bad row's first error is raised."""
+    """Read a ``save_predictions`` file row by row, checking the separator,
+    then the scores (``parse_float_row``), the label count and each label
+    (``int()``): the first bad row's first error is raised. ``_as_binary``
+    then checks that every label is 0 or 1."""
     (m, l), rows = read_table(path, "predictions", "m l")
-    score_rows = []
+    scores = np.empty((m, l))
     labels = np.empty((m, l), dtype=np.int64)
-    error = None
     for i, (lineno, line) in enumerate(rows):
         sblock, sep, lblock = line.partition(";")
         if not sep:
-            error = ParseError("expected 'scores;labels'", line=lineno)
-            break
-        score_rows.append((lineno, sblock))
+            raise ParseError("expected 'scores;labels'", line=lineno)
+        scores[i] = parse_float_row(sblock, l, lineno, "score")
         ltoks = lblock.split(",")
         if len(ltoks) != l:
-            error = ParseError(f"expected {l} labels, got {len(ltoks)}", line=lineno)
-            break
+            raise ParseError(f"expected {l} labels, got {len(ltoks)}", line=lineno)
         try:
             labels[i] = [int(t) for t in ltoks]
         except ValueError as exc:
-            error = ParseError(f"bad label value: {exc}", line=lineno)
-            break
-    if error is not None:
-        for lineno, text in score_rows:
-            parse_float_row(text, l, lineno, "score")
-        raise error
-    scores = parse_float_rows(score_rows, l, "score")
+            raise ParseError(f"bad label value: {exc}", line=lineno) from None
     return scores, _as_binary(labels, "prediction labels", [lineno for lineno, _ in rows])

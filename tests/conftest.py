@@ -1,4 +1,17 @@
-"""Test-session plumbing: one pass/fail line per acceptance criterion."""
+"""Test-session plumbing: no test leaves a child process behind, and one
+pass/fail line per acceptance criterion."""
+
+import os
+
+import pytest
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """After each test the session has no child process, running or unreaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -429,7 +429,8 @@ class TestCLevelParse:
         M = reader(write(tmp_path, text(["1_0, 1.5,\uff11", "-0.25,2_5.0_1,\uff12\uff10"], 3)))
         assert M.tolist() == [[10.0, 1.5, 1.0], [-0.25, 25.01, 20.0]]
 
-    @pytest.mark.parametrize("kind", sorted(FLOAT_TABLES))
+    # a predictions file is always read by its row loop
+    @pytest.mark.parametrize("kind", sorted(set(FLOAT_TABLES) - {"predictions"}))
     def test_clean_file_skips_row_loop(self, tmp_path, kind):
         reader, text = FLOAT_TABLES[kind]
         p = write(tmp_path, text(["0.1,-2.5e-08,-0.0", "1e+300,0.30000000000000004,5"], 3))

@@ -246,6 +246,29 @@ class TestForkedFolds:
         assert seen[3] == seen[1]
         assert seen[1][:3] == (ParseError, f"line {first}: fold {first} failed", first)
 
+    def test_block_a_child_did_not_finish_runs_whole_in_caller(self, monkeypatch):
+        # with 3 workers the blocks are folds 0-1 (caller), 2-3 and 4 (children)
+        ds, folds, seed = clustered_dataset(**self.DATA), 5, 1
+        cfg = toy_config("", k=3, lambda2_grid=(10.0, 100.0), cv_folds=folds)
+        rows = [ds.X[np.setdiff1d(np.arange(ds.n), p)] for p in _fold_indices(ds.n, folds, seed)]
+        caller, in_caller, real_fit = os.getpid(), [], pipeline.fit
+
+        def failing_fit(X, *args):
+            fold = next(f for f, X_f in enumerate(rows)
+                        if X.shape == X_f.shape and np.array_equal(X, X_f))
+            if os.getpid() == caller:
+                in_caller.append(fold)
+            if fold == 3:
+                raise ParseError("fold 3 failed")
+            return real_fit(X, *args)
+
+        monkeypatch.setattr(pipeline, "fit", failing_fit)
+        use_workers(monkeypatch, 3)
+        with pytest.raises(ParseError) as info:
+            select_lambda2(ds, cfg, seed)
+        assert str(info.value) == "fold 3 failed"
+        assert sorted(set(in_caller)) == [0, 1, 2, 3]
+
     def test_interrupt_in_caller_leaves_no_child(self, monkeypatch):
         caller, real_fit = os.getpid(), pipeline.fit
 

@@ -174,6 +174,18 @@ class TestUpdateBAdmm:
         grad = 2.0 * C.T @ (C @ Bhat - Yhat) + cfg.tau * Bhat - cfg.tau * B - Theta
         assert np.abs(grad).max() <= 1e-8
 
+    def test_incoming_auxiliary_is_not_read(self):
+        rng = np.random.default_rng(8)
+        n, l = 8, 4
+        C, Yhat = rng.random((n, l)), rng.normal(size=(n, l))
+        B, Theta = rng.normal(size=(l, l)), rng.normal(size=(l, l))
+        out = [
+            update_b_admm(trainer_state(np.zeros((n, 2)), C=C, B=B, Bhat=Bhat, Theta=Theta,
+                                        W=np.zeros((2, l))), Yhat, TrainerConfig(admm_iters=3))
+            for Bhat in (np.eye(l), rng.normal(size=(l, l)))
+        ]
+        assert [M.tobytes() for M in out[0]] == [M.tobytes() for M in out[1]]
+
 
 class TestUpdateW:
     def test_identity_design_zero_ridge(self):
