@@ -21,7 +21,7 @@ import sys
 import click
 
 from . import data, enrichment, metrics, pipeline, trainer
-from .errors import ConfigError, DataError, NumericError
+from .errors import EXIT_CODES, ConfigError
 from .pipeline import ExperimentConfig
 
 _REPORT_FORMAT = click.option("--format", "report_format", type=click.Choice(("json", "csv")),
@@ -30,10 +30,9 @@ _REPORT_FORMAT = click.option("--format", "report_format", type=click.Choice(("j
 
 def _parse_grid(ctx, param, text: str) -> tuple[float, ...]:
     try:
-        values = tuple(float(t) for t in text.split(",") if t.strip())
+        return tuple(float(t) for t in text.split(",") if t.strip())
     except ValueError:
         raise ConfigError(f"bad lambda2 grid {text!r}; expected comma-separated numbers")
-    return values
 
 
 # The options that set an ExperimentConfig field are named after the field,
@@ -62,10 +61,6 @@ def _config_options(*fields):
                                    **_OPTIONS.get(name, {}))(command)
         return command
     return decorate
-
-
-def _write_report(path, text: str) -> None:
-    data.write_lines(path, "report", text.splitlines())
 
 
 @click.group(context_settings={"auto_envvar_prefix": "PMLTK", "show_default": True})
@@ -151,7 +146,7 @@ def evaluate_cmd(predictions, dataset, data_format, report_format, out):
         else metrics.reports_to_csv([report], metrics.aggregate([report]))
     )
     if out:
-        _write_report(out, text)
+        data.write_lines(out, "report", text.splitlines())
         click.echo(f"wrote {out}")
     else:
         click.echo(text, nl=False)
@@ -168,7 +163,7 @@ def benchmark_cmd(dataset, report_format, out, **options):
     agg = metrics.aggregate(reports)
     if out:
         to_text = metrics.reports_to_json if report_format == "json" else metrics.reports_to_csv
-        _write_report(out, to_text(reports, agg))
+        data.write_lines(out, "report", to_text(reports, agg).splitlines())
     click.echo(f"{'metric':<14} {'mean':>10} {'std':>10}")
     for name in metrics.METRIC_NAMES:
         mean, std = agg[name]
@@ -195,15 +190,9 @@ def main(argv=None) -> int:
     except click.ClickException as exc:
         exc.show()
         return 1
-    except ConfigError as exc:
+    except tuple(EXIT_CODES) as exc:
         click.echo(f"error: {exc}", err=True)
-        return 1
-    except DataError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 2
-    except NumericError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 3
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
     finally:
         log.removeHandler(handler)
     return 0

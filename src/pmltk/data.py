@@ -150,6 +150,11 @@ class Dataset:
         return Dataset(self.X[idx], self.Y[idx], Yt)
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+
+
 @dataclass(frozen=True)
 class NoiseConfig:
     """Synthetic corruption level: each instance with g ground-truth labels
@@ -161,6 +166,7 @@ class NoiseConfig:
     def __post_init__(self):
         if self.a < 0:
             raise ConfigError(f"noise percentage must be >= 0, got {self.a}")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -175,6 +181,7 @@ class SplitSpec:
             raise ConfigError(
                 f"train_fraction must lie in (0,1), got {self.train_fraction}"
             )
+        _check_seed(self.seed)
 
 
 def read_table(path, kind: str, fields, floats: int = 0):

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: configuration problems exit with 1,
-data problems with 2, numeric failures with 3.
+The CLI maps these onto exit codes through ``EXIT_CODES``: configuration
+problems exit with 1, data problems with 2, numeric failures with 3.
 """
 
 
@@ -45,3 +45,6 @@ class ShapeError(DataError):
 
 class NumericError(PmltkError):
     """Numerical failure: non-finite input, factorization or SVD breakdown."""
+
+
+EXIT_CODES = {ConfigError: 1, DataError: 2, NumericError: 3}

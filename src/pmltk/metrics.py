@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .data import _as_binary
-from .errors import ShapeError, ValidationError
+from .errors import NumericError, ShapeError, ValidationError
 
 # Most entries of the rows x l x l boolean temporary ``_violations`` holds.
 _PAIR_CELLS = 1 << 20
@@ -73,6 +73,8 @@ def evaluate(scores, labels, truth) -> MetricsReport:
         raise ShapeError(
             f"shape mismatch: scores{scores.shape}, labels{labels.shape}, truth{truth.shape}"
         )
+    if not np.isfinite(scores).all():
+        raise NumericError("non-finite scores")
     m, l = scores.shape
     if m == 0:
         raise ValidationError("cannot evaluate zero instances")

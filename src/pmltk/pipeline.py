@@ -42,11 +42,11 @@ import numpy as np
 
 from ._blas import single_threaded
 from .data import (
-    FORMATS,
     SPARSE_FORMAT,
     Dataset,
     NoiseConfig,
     SplitSpec,
+    _check_format,
     _split_rows,
     inject_noise,
     load,
@@ -90,16 +90,15 @@ class ExperimentConfig:
     add_bias: bool = False
 
     def __post_init__(self):
-        if self.data_format not in FORMATS:
-            raise ConfigError(f"unknown dataset format {self.data_format!r}")
+        _check_format(self.data_format)
         if self.splits < 1:
             raise ConfigError(f"split count must be >= 1, got {self.splits}")
         if not self.lambda2_grid:
             raise ConfigError("lambda2 grid must be non-empty")
         if self.cv_folds < 2:
             raise ConfigError(f"cv_folds must be >= 2, got {self.cv_folds}")
-        NoiseConfig(self.noise)
-        SplitSpec(self.split_fraction)
+        NoiseConfig(self.noise, self.seed)
+        SplitSpec(self.split_fraction, self.seed)
         self.knn_config()
         self.propagation_config()
         fixed = () if self.lambda2 is None else (self.lambda2,)
@@ -191,17 +190,6 @@ def _cv_workers(folds: int) -> int:
     return max(1, min(folds, cpus or 1))
 
 
-class _Records(logging.Handler):
-    """Keeps the log records it is given, in ``records``."""
-
-    def __init__(self):
-        super().__init__()
-        self.records: list[logging.LogRecord] = []
-
-    def emit(self, record):
-        self.records.append(record)
-
-
 class _ForkedFolds:
     """The CV folds ``block`` (fold numbers in order), run by a forked child
     that sends ``(APs in fold order, log records)`` back through a pipe once
@@ -225,11 +213,12 @@ class _ForkedFolds:
         try:
             os.close(read_fd)
             log = logging.getLogger("pmltk")
-            records = _Records()
-            log.handlers, log.propagate = [records], False
+            records, handler = [], logging.Handler()
+            handler.emit = records.append
+            log.handlers, log.propagate = [handler], False
             aps = [run_fold(i) for i in self.block]
             with open(write_fd, "wb") as pipe:
-                pickle.dump((aps, records.records), pipe)
+                pickle.dump((aps, records), pipe)
             status = 0
         finally:
             os._exit(status)

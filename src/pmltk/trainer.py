@@ -392,9 +392,11 @@ def predict(model: Model, X_test):
         X_test = t.apply(X_test)
     if not np.isfinite(X_test).all():
         raise NumericError("non-finite test features")
-    scores = X_test @ model.W
-    labels = (scores >= 0.5).astype(np.int8)
-    return scores, labels
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score fails just below
+        scores = X_test @ model.W
+    if not np.isfinite(scores).all():
+        raise NumericError("non-finite scores")
+    return scores, (scores >= 0.5).astype(np.int8)
 
 
 # The two model file versions, told apart by their header's field count.

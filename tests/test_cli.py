@@ -122,6 +122,45 @@ def test_bad_grid_value_exit_code(toy_file, tmp_path, capsys, command):
     assert not (tmp_path / "model.txt").exists()
 
 
+@pytest.mark.parametrize("command", ["inject-noise", "train", "benchmark"])
+def test_negative_seed_fails_before_any_read(tmp_path, capsys, command):
+    # the dataset does not exist: a read would exit 2
+    argv = [command, str(tmp_path / "missing.sml"), "--seed", "-1"]
+    if command != "benchmark":
+        argv += ["--out", str(tmp_path / "out.txt")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: seed must be >= 0, got -1"]
+
+
+def test_evaluate_non_finite_scores_exit_3(tmp_path, capsys):
+    truth, preds = tmp_path / "truth.sml", tmp_path / "preds.csv"
+    save(Dataset(np.zeros((2, 1)), np.array([[1, 0, 1], [0, 1, 0]], dtype=np.int8)), truth,
+         "sparse-multilabel")
+    preds.write_text("#2 3\n0.9,nan,0.8;1,0,1\n0.1,0.9,0.2;0,1,0\n")
+    assert main(["evaluate", str(preds), str(truth)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: non-finite scores"]
+
+
+@pytest.mark.parametrize("weights", ["nan,0.0,1.0\ninf,0.0,0.0", "1e300,0.0,0.0\n1e300,0.0,0.0"],
+                         ids=["non-finite", "overflow"])
+def test_predict_non_finite_scores_exit_3(tmp_path, weights):
+    # in a child process, so numpy's RuntimeWarnings would reach its stderr
+    model, dataset, out = tmp_path / "model.txt", tmp_path / "test.sml", tmp_path / "preds.csv"
+    model.write_text(f"#2 3 1.0 10.0\n{weights}\n")
+    save(Dataset(np.full((2, 2), 1e300), np.eye(3, dtype=np.int8)[:2]), dataset,
+         "sparse-multilabel")
+    src = str(Path(pmltk.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-m", "pmltk.cli", "predict", str(model),
+                          str(dataset), "--out", str(out)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 3
+    assert run.stderr.splitlines() == ["error: non-finite scores"]
+    assert not out.exists()
+
+
 def test_help_shows_defaults(capsys):
     assert main(["train", "--help"]) == 0
     text = " ".join(capsys.readouterr().out.split())

@@ -230,6 +230,11 @@ class TestInjectNoise:
         with pytest.raises(ConfigError):
             NoiseConfig(a=-1, seed=0)
 
+    def test_negative_seed_rejected(self):
+        # numpy's generators take no negative seed; it fails as a setting
+        with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
+            NoiseConfig(100, seed=-1)
+
 
 class TestSplit:
     def test_even_split(self):
@@ -261,6 +266,10 @@ class TestSplit:
             SplitSpec(1.0, seed=0)
         with pytest.raises(ConfigError):
             SplitSpec(0.0, seed=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
+            SplitSpec(0.5, seed=-1)
 
     def test_float_ceiling_robustness(self):
         # 10 * 0.3 is 3.0000000000000004 in floats; ceil must stay at 3

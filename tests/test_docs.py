@@ -55,3 +55,18 @@ def test_command_line_example_runs(tmp_path, monkeypatch, capsys):
         assert main(shlex.split(line)[1:]) == 0, line
     capsys.readouterr()
     assert (tmp_path / "report.csv").read_text().startswith("split,")
+
+
+def test_bad_settings_exit_1_before_any_read(tmp_path, capsys):
+    # the settings the README lists as failing before any file is read
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    [listed] = re.findall(r"a bad setting \((.*?)\) exits with code 1 before any file is read",
+                          text)
+    settings = re.findall(r"`(--[\w-]+ \S+)`", listed)
+    assert settings == ["--lambda2 nan", "--cv-folds 1", "--alpha 2", "--lambda2-grid -1",
+                        "--seed -1"]
+    for setting in settings:
+        # the dataset does not exist: a read would exit 2
+        assert main(["benchmark", str(tmp_path / "missing.sml"), *setting.split()]) == 1, setting
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: "), setting

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from helpers import brute_force_metrics, reference_evaluate
 
-from pmltk import MetricsReport, ShapeError, ValidationError, evaluate, metrics
+from pmltk import MetricsReport, NumericError, ShapeError, ValidationError, evaluate, metrics
 from pmltk.metrics import aggregate, report_to_json, reports_to_csv, reports_to_json
 
 
@@ -70,6 +70,15 @@ class TestEvaluateExamples:
     def test_zero_instances(self):
         with pytest.raises(ValidationError):
             evaluate(np.zeros((0, 2)), np.zeros((0, 2), dtype=int), np.zeros((0, 2), dtype=int))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores(self, bad):
+        # a nan compares false, so it would count no ranking violation
+        truth = np.array([[1, 0, 1], [0, 1, 0]], dtype=np.int8)
+        scores = truth + 0.0
+        scores[1, 2] = bad
+        with pytest.raises(NumericError, match="non-finite scores"):
+            evaluate(scores, truth, truth)
 
 
 class TestOracleAgreement:

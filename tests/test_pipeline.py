@@ -38,7 +38,7 @@ from pmltk import (
 )
 from pmltk import pipeline
 from pmltk.cli import main
-from pmltk.data import Dataset, save
+from pmltk.data import FORMATS, Dataset, save
 from pmltk.metrics import METRIC_NAMES
 from pmltk.pipeline import (
     _STAGE_NOISE,
@@ -588,11 +588,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig(dataset=str(toy_file), splits=0)
 
+    def test_bad_format(self):
+        # the CLI's choice of formats rejects the value first, so only the library reaches this
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig(dataset="x", data_format="csv")
+        assert "'csv'" in str(info.value)
+        assert all(f"'{fmt}'" in str(info.value) for fmt in FORMATS)
+
     @pytest.mark.parametrize("over", [
         dict(lambda2=float("nan")), dict(lambda2_grid=(float("nan"), 10.0)),
         dict(lambda2=10.0, lambda2_grid=(-1.0,)), dict(lambda1=-1.0), dict(tau=0.0),
         dict(admm_iters=0), dict(k=0), dict(alpha=2.0), dict(noise=-1),
-        dict(split_fraction=1.0),
+        dict(split_fraction=1.0), dict(seed=-1),
     ], ids=lambda over: ",".join(f"{k}={v}" for k, v in over.items()))
     def test_stage_settings_checked_at_construction(self, over):
         # the file does not exist: the check comes before it would be read

@@ -1,5 +1,6 @@
 import logging
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -562,6 +563,17 @@ class TestPredict:
         X[2, 1] = bad
         with pytest.raises(NumericError):
             predict(model, X)
+
+    @pytest.mark.parametrize("W", [[[np.nan, 0.0], [0.0, 0.0]], [[np.inf, 0.0], [0.0, 0.0]],
+                                   [[1e300, 0.0], [1e300, 0.0]]],
+                             ids=["nan", "inf", "overflow"])
+    def test_non_finite_scores(self, W):
+        # a bad model file or a product that overflows, with no RuntimeWarning on the way
+        model = Model(W=np.array(W), lambda1=1.0, lambda2=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="non-finite scores"):
+                predict(model, np.full((3, 2), 1e300))
 
 
 class TestConfigValidation:
