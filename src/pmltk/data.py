@@ -11,19 +11,19 @@ start with a ``#n d l`` header line:
 * ``dense-csv``: ``x1,...,xd;y1,...,yl`` per line with binary labels,
   optionally followed by a third ``;t1,...,tl`` ground-truth block.
 
-``load`` is ``read_table`` followed by one parse of its rows
-(``_parse``): a dense file goes through one C-level pass
+Every dataset file is read by one ``_read``: ``read_table`` followed by
+one parse of its rows. A dense file goes through one C-level pass
 (``np.loadtxt``) when every row has the expected blocks, binary labels
 and a candidate, and otherwise through one loop over the rows, with one
 row parser per format; either every row carries a ground-truth block or
-none does. A bad row raises an error that names its line of the file.
-``load_truth`` runs the same parse on the label blocks alone.
-``inject_noise_file`` parses its input as ``load`` does and writes each
-row's own feature text back with the new label blocks, formatted as
-``save`` formats them. ``_as_binary`` is the one 0/1 check on label
-matrices: datasets, the metrics and the prediction reader all go
-through it, and ``_check_label_sets`` holds the rules on label sets
-that ``Dataset`` and ``load_truth`` share.
+none does. A bad row raises an error that names its line of the file,
+and so does a bad label set. ``load`` builds a ``Dataset`` from the
+parse, ``load_truth`` runs it on the label blocks alone, and
+``inject_noise_file`` writes each row's own feature text back with the
+new label blocks, formatted as ``save`` formats them. ``_as_binary`` is
+the one 0/1 check on label matrices: datasets, the metrics and the
+prediction reader all go through it, and ``_check_label_sets`` holds
+the rules on label sets that ``Dataset`` and ``_read`` share.
 
 Floats are serialized with ``repr`` so save followed by load restores
 every matrix bit-exactly. The enrichment, model and prediction files
@@ -75,27 +75,32 @@ def _as_binary(M, name, lines=None):
     return M.astype(np.int8)
 
 
-def _check_label_sets(Y, Ytruth):
+def _check_label_sets(Y, Ytruth, lines=None):
     """The label rules of a ``Dataset`` on its 0/1 int8 matrix ``Y``: every
     row carries at least one and at most l-1 candidates, and ``Ytruth``,
     when given, is a 0/1 matrix of ``Y``'s shape that ``Y`` covers.
-    Returns ``Ytruth`` as int8 (or None). ``Dataset`` and ``load_truth``
-    both run them."""
+    Returns ``Ytruth`` as int8 (or None). ``Dataset`` and ``_read`` both
+    run them; an error names its row, or its file line when ``lines``
+    maps rows to lines."""
+    def where(rows):  # the first offending row
+        i = int(np.argmax(rows))
+        return f"instance {i}" if lines is None else f"line {lines[i]}: instance"
+
     l = Y.shape[1]
     sums = Y.sum(axis=1)
     if (sums < 1).any():
-        i = int(np.argmin(sums))
-        raise ValidationError(f"instance {i} has an empty candidate label set")
+        raise ValidationError(f"{where(sums < 1)} has an empty candidate label set")
     if (sums > l - 1).any():
-        i = int(np.argmax(sums))
-        raise ValidationError(f"instance {i} carries all {l} labels; at most l-1 are allowed")
+        raise ValidationError(f"{where(sums == l)} carries all {l} labels; at most l-1 are allowed")
     if Ytruth is None:
         return None
     Yt = _as_binary(Ytruth, "Ytruth")
     if Yt.shape != Y.shape:
         raise ValidationError(f"Ytruth shape {Yt.shape} does not match Y shape {Y.shape}")
-    if (Yt > Y).any():
-        raise ValidationError("Ytruth must be covered by Y elementwise")
+    uncovered = (Yt > Y).any(axis=1)
+    if uncovered.any():
+        at = "" if lines is None else f"line {lines[int(np.argmax(uncovered))]}: "
+        raise ValidationError(f"{at}Ytruth must be covered by Y elementwise")
     return Yt
 
 
@@ -262,9 +267,7 @@ def parse_float_rows(rows, width, what):
     ``ParseError`` or reads the values only ``float()`` accepts."""
     M = _loadtxt((text for _, text in rows), (len(rows), width))
     if M is None:
-        M = np.empty((len(rows), width))
-        for i, (lineno, text) in enumerate(rows):
-            M[i] = parse_float_row(text, width, lineno, what)
+        M = np.array([parse_float_row(text, width, lineno, what) for lineno, text in rows])
     return M
 
 
@@ -386,34 +389,41 @@ def _dense_pass(rows, d, l, features=True):
     return (np.ascontiguousarray(M[:, :d]) if features else None), Y, T
 
 
-def _parse(rows, d, l, format, features=True):
-    """``(X, Y, T)`` of the dataset rows (``read_table``'s), in one C-level
-    pass when the rows are dense and clean, otherwise by one loop over
-    the rows, with one row parser per format; either every row carries
-    a ground-truth block or none does, and a plain file gives ``T = Y``.
-    Without ``features`` only the label blocks are read and X is None."""
-    if format == DENSE_FORMAT:
-        parsed = _dense_pass(rows, d, l, features)
-        if parsed is not None:
-            return parsed
-    parse_row = _sparse_row if format == SPARSE_FORMAT else _dense_row
-    X = np.zeros((len(rows), d if features else 0), dtype=np.float64)
-    Y = np.zeros((len(rows), l), dtype=np.int8)
-    T = np.zeros((len(rows), l), dtype=np.int8)
-    for i, (lineno, line) in enumerate(rows):
-        with_truth = parse_row(line, lineno, X[i], Y[i], T[i], features)
-        if i == 0:
-            has_truth = with_truth
-        elif with_truth != has_truth:
-            raise ParseError(
-                "mixed rows: some carry a ground-truth block and some do not", line=lineno
-            )
-    return (X if features else None), Y, (T if has_truth else Y.copy())
-
-
 def _check_format(format: str) -> None:
     if format not in FORMATS:
         raise ConfigError(f"unknown dataset format {format!r}; expected one of {FORMATS}")
+
+
+def _read(path, format: str, features: bool = True):
+    """The rows of the dataset file ``path`` (``read_table``'s) and their
+    ``(X, Y, T)``, parsed in one C-level pass when the rows are dense and
+    clean, otherwise by one loop over the rows, with one row parser per
+    format; either every row carries a ground-truth block or none does,
+    and a plain file gives ``T = Y``. The label sets get ``Dataset``'s
+    checks, naming the line of a bad row. Without ``features`` only the
+    label blocks are read and X is None."""
+    _check_format(format)
+    (n, d, l), rows = read_table(path, "dataset", "n d l")
+    parsed = _dense_pass(rows, d, l, features) if format == DENSE_FORMAT else None
+    if parsed is None:
+        parse_row = _sparse_row if format == SPARSE_FORMAT else _dense_row
+        try:
+            X = np.zeros((n, d if features else 0), dtype=np.float64)
+            Y = np.zeros((n, l), dtype=np.int8)
+            T = np.zeros((n, l), dtype=np.int8)
+        except (MemoryError, ValueError):
+            raise ParseError(f"cannot hold a dataset of n={n} d={d} l={l}", line=1) from None
+        for i, (lineno, line) in enumerate(rows):
+            with_truth = parse_row(line, lineno, X[i], Y[i], T[i], features)
+            if i == 0:
+                has_truth = with_truth
+            elif with_truth != has_truth:
+                raise ParseError(
+                    "mixed rows: some carry a ground-truth block and some do not", line=lineno
+                )
+        parsed = (X if features else None), Y, (T if has_truth else Y.copy())
+    X, Y, T = parsed
+    return rows, X, Y, _check_label_sets(Y, T, [lineno for lineno, _ in rows])
 
 
 def load(path, format: str = SPARSE_FORMAT) -> Dataset:
@@ -426,9 +436,7 @@ def load(path, format: str = SPARSE_FORMAT) -> Dataset:
     parsed in one C-level pass; the row loop runs when that pass cannot
     take every row as it is, so a bad row fails as it does there.
     """
-    _check_format(format)
-    (n, d, l), rows = read_table(path, "dataset", "n d l")
-    return Dataset(*_parse(rows, d, l, format))
+    return Dataset(*_read(path, format)[1:])
 
 
 def load_truth(path, format: str = SPARSE_FORMAT) -> np.ndarray:
@@ -438,10 +446,7 @@ def load_truth(path, format: str = SPARSE_FORMAT) -> np.ndarray:
     the header, the blocks of every row and the labels get the checks and
     errors of ``load``, and the label sets those of ``Dataset``.
     """
-    _check_format(format)
-    (n, d, l), rows = read_table(path, "dataset", "n d l")
-    _, Y, T = _parse(rows, d, l, format, features=False)
-    return _check_label_sets(Y, T)
+    return _read(path, format, features=False)[3]
 
 
 def _label_blocks(ds: Dataset, format: str):
@@ -481,15 +486,14 @@ def inject_noise_file(path, out, cfg: NoiseConfig, format: str = SPARSE_FORMAT) 
     loads back to the returned dataset, while its float text is the
     input's, not ``repr``'s. Returns the noisy dataset.
     """
-    _check_format(format)
-    (n, d, l), rows = read_table(path, "dataset", "n d l")
-    noisy = inject_noise(Dataset(*_parse(rows, d, l, format)), cfg)
+    rows, *parsed = _read(path, format)
+    noisy = inject_noise(Dataset(*parsed), cfg)
     labels = _label_blocks(noisy, format)
     if format == SPARSE_FORMAT:
         lines = (" ".join([lab, *line.split(None, 1)[1:]]) for lab, (_, line) in zip(labels, rows))
     else:
         lines = (line.partition(";")[0] + ";" + lab for lab, (_, line) in zip(labels, rows))
-    write_lines(out, "dataset", itertools.chain([f"#{n} {d} {l}"], lines))
+    write_lines(out, "dataset", itertools.chain([f"#{noisy.n} {noisy.d} {noisy.l}"], lines))
     return noisy
 
 

@@ -208,14 +208,13 @@ class _ForkedFolds:
 
     def _child(self, read_fd: int, write_fd: int, run_fold):
         # Leaves only through os._exit, with status 0 once the results are
-        # written: it must never return into the caller's frames.
+        # written: it never returns into the caller's frames, so every logger
+        # may hand its records to the list, for the caller to replay.
         status = 1
         try:
             os.close(read_fd)
-            log = logging.getLogger("pmltk")
-            records, handler = [], logging.Handler()
-            handler.emit = records.append
-            log.handlers, log.propagate = [handler], False
+            records = []
+            logging.Logger.handle = records.append
             aps = [run_fold(i) for i in self.block]
             with open(write_fd, "wb") as pipe:
                 pickle.dump((aps, records), pipe)
@@ -262,8 +261,9 @@ def select_lambda2(train: Dataset, cfg: ExperimentConfig, seed: int) -> float:
     run the others. The caller alone runs every fold when there is one
     usable CPU, when ``os.fork`` is missing or when another thread is
     alive. The fold scores are summed in the caller in fold order. A
-    child's log records are handed to the ``pmltk`` loggers in the caller
-    after the earlier folds, so each record reaches the handlers once and
+    child hands back every log record, of any logger, before a filter or
+    handler sees it, and the caller passes it to its logger after the
+    earlier folds, so each record meets the filters and handlers once and
     in fold order, as in a run in one process. A block a child did not
     send back whole (a fold failed, the fork failed or the result could
     not be pickled) runs in the caller, so a failure raises the error of

@@ -460,19 +460,18 @@ def load_predictions(path):
     then the scores (``parse_float_row``), the label count and each label
     (``int()``): the first bad row's first error is raised. ``_as_binary``
     then checks that every label is 0 or 1."""
-    (m, l), rows = read_table(path, "predictions", "m l")
-    scores = np.empty((m, l))
-    labels = np.empty((m, l), dtype=np.int64)
-    for i, (lineno, line) in enumerate(rows):
+    (_, l), rows = read_table(path, "predictions", "m l")
+    scores, labels = [], []
+    for lineno, line in rows:
         sblock, sep, lblock = line.partition(";")
         if not sep:
             raise ParseError("expected 'scores;labels'", line=lineno)
-        scores[i] = parse_float_row(sblock, l, lineno, "score")
+        scores.append(parse_float_row(sblock, l, lineno, "score"))
         ltoks = lblock.split(",")
         if len(ltoks) != l:
             raise ParseError(f"expected {l} labels, got {len(ltoks)}", line=lineno)
         try:
-            labels[i] = [int(t) for t in ltoks]
+            labels.append([int(t) for t in ltoks])
         except ValueError as exc:
             raise ParseError(f"bad label value: {exc}", line=lineno) from None
-    return scores, _as_binary(labels, "prediction labels", [lineno for lineno, _ in rows])
+    return np.array(scores), _as_binary(np.array(labels), "prediction labels", [n for n, _ in rows])

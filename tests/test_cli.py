@@ -304,7 +304,9 @@ def test_inject_noise_round_trips_random_data(tmp_path, capsys):
 
 
 # Bad inputs with the exit code and stderr line that reading the whole file
-# with data.load gives.
+# with data.load gives. No allocator grants BIG labels, so the "size" cases
+# touch no memory on any host.
+BIG = 10**17
 BAD_DATASETS = {
     ("dense-csv", "header"): ("#2 2\n0.1,0.2;1,0\n0.3,0.4;0,1\n",
                               "error: line 1: expected header '#n d l'"),
@@ -318,6 +320,11 @@ BAD_DATASETS = {
     ("dense-csv", "mixed"): ("#2 2 2\n0.1,0.2;1,0;1,0\n0.3,0.4;0,1\n",
                              "error: line 3: mixed rows: some carry a ground-truth block and "
                              "some do not"),
+    ("dense-csv", "all-labels"): ("#2 2 2\n0.1,0.2;1,0\n\n0.3,0.4;1,1\n",
+                                  "error: line 4: instance carries all 2 labels; at most l-1 "
+                                  "are allowed"),
+    ("dense-csv", "size"): (f"#2 2 {BIG}\n0.1,0.2;1,0\n0.3,0.4;0,1\n",
+                            f"error: line 1: cannot hold a dataset of n=2 d=2 l={BIG}"),
     ("sparse-multilabel", "header"): ("#2 2 2 2\n0 0:0.5\n1 1:0.5\n",
                                       "error: line 1: expected header '#n d l'"),
     ("sparse-multilabel", "feature"): ("#2 2 2\n0 0:0.5\n1 1:x\n",
@@ -329,6 +336,11 @@ BAD_DATASETS = {
     ("sparse-multilabel", "mixed"): ("#2 3 3\n0|0 0:0.5\n1 1:0.5\n",
                                      "error: line 3: mixed rows: some carry a ground-truth block "
                                      "and some do not"),
+    ("sparse-multilabel", "all-labels"): ("#2 2 2\n0 0:0.5\n\n0,1 1:0.5\n",
+                                          "error: line 4: instance carries all 2 labels; at "
+                                          "most l-1 are allowed"),
+    ("sparse-multilabel", "size"): (f"#2 2 {BIG}\n0 0:0.5\n1 1:0.5\n",
+                                    f"error: line 1: cannot hold a dataset of n=2 d=2 l={BIG}"),
 }
 
 
@@ -340,6 +352,34 @@ def test_inject_noise_bad_input(tmp_path, capsys, fmt, what):
     assert main(["inject-noise", str(src), "--data-format", fmt, "--out", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == [line]
     assert not out.exists()
+
+
+# Other files whose header declares more than can be held, or with a label
+# beyond int64: each exits 2 with the error of the row at fault.
+BAD_TABLES = {
+    "enrichment": (["train", "{data}", "--enrichment", "{path}", "--lambda2", "10",
+                    "--out", "{tmp}/model.txt"],
+                   f"#2 {BIG}\n0.5,0.5\n0.5,0.5\n",
+                   f"error: line 2: expected {BIG} enrichment values, got 2"),
+    "predictions": (["evaluate", "{path}", "{data}"],
+                    f"#2 {BIG}\n0.1,0.2;1,0\n0.3,0.4;0,1\n",
+                    f"error: line 2: expected {BIG} score values, got 2"),
+    "prediction-label": (["evaluate", "{path}", "{data}"],
+                         "#2 2\n0.1,0.2;1,0\n0.3,0.4;0,99999999999999999999\n",
+                         "error: line 3: prediction labels must be binary (0/1 entries), "
+                         "got 99999999999999999999"),
+}
+
+
+@pytest.mark.parametrize("what", sorted(BAD_TABLES))
+def test_bad_table_exits_2(tmp_path, capsys, what):
+    argv, text, line = BAD_TABLES[what]
+    path, data = tmp_path / "in.txt", tmp_path / "data.sml"
+    path.write_text(text)
+    data.write_text("#2 2 2\n0 0:1\n1 1:1\n")
+    fields = dict(path=path, data=data, tmp=tmp_path)
+    assert main([arg.format(**fields) for arg in argv]) == 2
+    assert capsys.readouterr().err.splitlines() == [line]
 
 
 @pytest.mark.parametrize("fmt, what", sorted(k for k in BAD_DATASETS if k[1] != "feature"))

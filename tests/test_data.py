@@ -149,6 +149,43 @@ class TestLoad:
         assert type(exc.value) is error
         assert str(exc.value).startswith("line 4: ")
 
+    @pytest.mark.parametrize("reader", [load, data.load_truth], ids=["load", "load_truth"])
+    @pytest.mark.parametrize("blank", ["", "\n"], ids=["no-blank", "blank"])
+    @pytest.mark.parametrize("rows, Y, Ytruth, message", [
+        ("0 0:1.0\n{blank}0,1,2 1:1.0\n", [[1, 0, 0], [1, 1, 1]], None,
+         "instance carries all 3 labels; at most l-1 are allowed"),
+        ("0|0 0:1.0\n{blank}1|0,1 1:1.0\n", [[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [1, 1, 0]],
+         "Ytruth must be covered by Y elementwise"),
+    ], ids=["all-labels", "truth-not-covered"])
+    def test_label_set_error_names_file_line(self, tmp_path, reader, blank, rows, Y, Ytruth,
+                                             message):
+        # the second instance breaks the rule: line 3 of the file, or 4 after a blank line
+        p = write(tmp_path, "#2 3 3\n" + rows.format(blank=blank))
+        with pytest.raises(ValidationError) as exc:
+            reader(p, "sparse-multilabel")
+        assert str(exc.value) == f"line {3 + len(blank)}: {message}"
+        # a Dataset built in the library names the 0-based instance, or no row
+        with pytest.raises(ValidationError) as exc:
+            Dataset(np.zeros((2, 3)), Y, Ytruth)
+        assert str(exc.value) == message.replace("instance", "instance 1")
+
+    # no allocator grants these sizes, so the test touches no memory on any host
+    @pytest.mark.parametrize("big", [10**17, 10**19])
+    @pytest.mark.parametrize("fmt, dims, row", [
+        ("sparse-multilabel", "1 {big} 2", "0 0:1.0"),
+        ("dense-csv", "1 {big} 2", "0.1;1,0"),
+        ("sparse-multilabel", "1 2 {big}", "0 0:1.0"),
+        ("dense-csv", "1 2 {big}", "0.1,0.2;1,0"),
+    ], ids=["sparse-d", "dense-d", "sparse-l", "dense-l"])
+    def test_header_too_large_to_hold(self, tmp_path, big, fmt, dims, row):
+        n, d, l = dims.format(big=big).split()
+        p = write(tmp_path, f"#{n} {d} {l}\n{row}\n")
+        # load_truth reads no features, so only a large l stops it
+        for reader in [load] + ([data.load_truth] if l != "2" else []):
+            with pytest.raises(ParseError) as exc:
+                reader(p, fmt)
+            assert str(exc.value) == f"line 1: cannot hold a dataset of n={n} d={d} l={l}"
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("fmt", ["sparse-multilabel", "dense-csv"])
@@ -477,8 +514,9 @@ class TestCLevelParse:
         ("#2 2 2\n\n0.1,0.2;1,0\n0.3,0.4;0,1;0,1;0,1\n",
          "line 4: expected 2 or 3 ';'-separated blocks, got 4"),
         ("#2 2 2\n\n0.1,0.2;1,1\n0.3,0.4;0,1\n",
-         "instance 0 carries all 2 labels; at most l-1 are allowed"),
-        ("#2 2 2\n\n0.1,0.2;1,0;0,1\n0.3,0.4;0,1;0,1\n", "Ytruth must be covered by Y elementwise"),
+         "line 3: instance carries all 2 labels; at most l-1 are allowed"),
+        ("#2 2 2\n\n0.1,0.2;1,0;0,1\n0.3,0.4;0,1;0,1\n",
+         "line 3: Ytruth must be covered by Y elementwise"),
     ])
     def test_dense_error_messages(self, tmp_path, text, message):
         with pytest.raises(DataError) as exc:
@@ -501,6 +539,26 @@ class TestCLevelParse:
         with pytest.raises(ParseError) as exc:
             load_predictions(write(tmp_path, text))
         assert str(exc.value) == message
+
+    # no allocator grants these widths, so the test touches no memory on any host
+    @pytest.mark.parametrize("width", [10**17, 10**19])
+    @pytest.mark.parametrize("reader, header, row, what", [
+        (load_enrichment, "#1 {w}", "0.5,0.5", "enrichment"),
+        (load_model, "#1 {w} 1.0 10.0", "0.5,0.5", "W"),
+        (load_predictions, "#1 {w}", "0.5,0.5;1,0", "score"),
+    ], ids=["enrichment", "model", "predictions"])
+    def test_header_width_checked_by_the_rows(self, tmp_path, width, reader, header, row, what):
+        with pytest.raises(ParseError) as exc:
+            reader(write(tmp_path, header.format(w=width) + "\n" + row + "\n"))
+        assert str(exc.value) == f"line 2: expected {width} {what} values, got 2"
+
+    @pytest.mark.parametrize("label", ["99999999999999999999", "-99999999999999999999"])
+    def test_prediction_label_beyond_int64(self, tmp_path, label):
+        p = write(tmp_path, f"#2 2\n0.1,0.2;1,0\n\n0.3,0.4;0,{label}\n")
+        with pytest.raises(ValidationError) as exc:
+            load_predictions(p)
+        assert str(exc.value) == (
+            f"line 4: prediction labels must be binary (0/1 entries), got {label}")
 
 
 class TestLoadTruth:

@@ -298,6 +298,34 @@ class TestForkedFolds:
         assert logs[1][-1][0] == "pmltk.pipeline"
         assert logs[2] == logs[1] and logs[3] == logs[1]
 
+    def test_handler_and_filter_below_pmltk_see_each_record_once(self, tmp_path, monkeypatch):
+        # a handler and a filter on pmltk.trainer itself, which a child also
+        # holds; both write to files, so what runs in a child counts too
+        ds = clustered_dataset(**self.DATA)
+        cfg = toy_config("", k=3, lambda2_grid=(10.0, 100.0), cv_folds=5)
+        log, seen = logging.getLogger("pmltk.trainer"), {}
+        for count in (1, 3):
+            use_workers(monkeypatch, count)
+            path, filtered = tmp_path / f"{count}.log", tmp_path / f"{count}.filtered"
+            handler = logging.FileHandler(path, encoding="utf-8")
+
+            def counting(record, filtered=filtered):
+                with open(filtered, "a", encoding="utf-8") as fh:
+                    fh.write(record.getMessage() + "\n")
+                return True
+
+            log.addHandler(handler)
+            log.addFilter(counting)
+            try:
+                select_lambda2(ds, cfg, seed=1)
+            finally:
+                log.removeFilter(counting)
+                log.removeHandler(handler)
+                handler.close()
+            seen[count] = (path.read_text(encoding="utf-8"), filtered.read_text(encoding="utf-8"))
+        assert seen[1][0].count("\n") > 5 and seen[1][0] == seen[1][1]
+        assert seen[3] == seen[1]
+
     def test_other_thread_keeps_every_fold_in_caller(self, monkeypatch):
         pids, real_fit = [], pipeline.fit
 
