@@ -87,7 +87,7 @@ def inject_noise_cmd(dataset, out, **options):
 def enrich_cmd(dataset, out, **options):
     """Stage 1: compute the signed enrichment matrix."""
     cfg = ExperimentConfig(dataset=dataset, **options)
-    [ds] = pipeline.transform_features(cfg, data.load(cfg.dataset, cfg.data_format))
+    _, ds = pipeline.transform_features(cfg, data.load(cfg.dataset, cfg.data_format))
     em = pipeline.enrich_dataset(ds, cfg)
     enrichment.save_enrichment(em, out)
     click.echo(f"wrote {out} ({em.n} x {em.l})")

@@ -19,8 +19,8 @@ row parser per format; either every row carries a ground-truth block or
 none does. A bad row raises an error that names its line of the file,
 and so does a bad label set. ``load`` builds a ``Dataset`` from the
 parse, ``load_truth`` runs it on the label blocks alone, and
-``inject_noise_file`` writes each row's own feature text back with the
-new label blocks, formatted as ``save`` formats them. ``_as_binary`` is
+``_write_dataset`` lays out every row ``save`` and ``inject_noise_file``
+write, the latter with each row's own feature text. ``_as_binary`` is
 the one 0/1 check on label matrices: datasets, the metrics and the
 prediction reader all go through it, and ``_check_label_sets`` holds
 the rules on label sets that ``Dataset`` and ``_read`` share.
@@ -449,31 +449,31 @@ def load_truth(path, format: str = SPARSE_FORMAT) -> np.ndarray:
     return _read(path, format, features=False)[3]
 
 
-def _label_blocks(ds: Dataset, format: str):
-    """Each row's label text as ``save`` writes it: ``L_cand[|L_truth]``
-    in the sparse format, ``y1,...,yl[;t1,...,tl]`` in the dense one."""
+def _write_dataset(path, ds: Dataset, format: str, features) -> None:
+    """Write ``ds`` as a dataset file: the ``#n d l`` header, then each row's
+    text from ``features`` joined with its label blocks, ``L_cand[|L_truth]
+    f:v ...`` in the sparse format, ``x1,...,xd;y1,...,yl[;t1,...,tl]`` in
+    the dense one. ``features`` may be any iterable of row texts."""
     mats = [ds.Y] if ds.Ytruth is None else [ds.Y, ds.Ytruth]
     if format == SPARSE_FORMAT:
         indices = ((",".join(map(repr, np.flatnonzero(row).tolist())) for row in M) for M in mats)
-        return map("|".join, zip(*indices))
-    return map(";".join, zip(*map(csv_rows, mats)))
+        rows = (lab + " " + f if f else lab for lab, f in zip(map("|".join, zip(*indices)), features))
+    else:
+        rows = (f + ";" + lab for lab, f in zip(map(";".join, zip(*map(csv_rows, mats))), features))
+    write_lines(path, "dataset", itertools.chain([f"#{ds.n} {ds.d} {ds.l}"], rows))
 
 
 def save(ds: Dataset, path, format: str = SPARSE_FORMAT) -> None:
     """Write ``ds`` to ``path``; the ground-truth block is emitted whenever
     ``Ytruth`` is present, so noisy datasets round-trip losslessly."""
     _check_format(format)
-    lines = [f"#{ds.n} {ds.d} {ds.l}"]
-    labels = _label_blocks(ds, format)
     if format == SPARSE_FORMAT:
-        for i, cand in enumerate(labels):
-            # negative zeros are stored explicitly to keep round-trips bit-exact
-            cols = np.flatnonzero((ds.X[i] != 0.0) | np.signbit(ds.X[i]))
-            feats = " ".join(map("{}:{!r}".format, cols.tolist(), ds.X[i, cols].tolist()))
-            lines.append(cand + (" " + feats if feats else ""))
+        # negative zeros are stored explicitly to keep round-trips bit-exact
+        kept = ((x, np.flatnonzero((x != 0.0) | np.signbit(x))) for x in ds.X)
+        features = (" ".join(map("{}:{!r}".format, c.tolist(), x[c].tolist())) for x, c in kept)
     else:
-        lines += map(";".join, zip(csv_rows(ds.X), labels))
-    write_lines(path, "dataset", lines)
+        features = csv_rows(ds.X)
+    _write_dataset(path, ds, format, features)
 
 
 def inject_noise_file(path, out, cfg: NoiseConfig, format: str = SPARSE_FORMAT) -> Dataset:
@@ -488,12 +488,11 @@ def inject_noise_file(path, out, cfg: NoiseConfig, format: str = SPARSE_FORMAT) 
     """
     rows, *parsed = _read(path, format)
     noisy = inject_noise(Dataset(*parsed), cfg)
-    labels = _label_blocks(noisy, format)
     if format == SPARSE_FORMAT:
-        lines = (" ".join([lab, *line.split(None, 1)[1:]]) for lab, (_, line) in zip(labels, rows))
+        features = ("".join(line.split(None, 1)[1:]) for _, line in rows)
     else:
-        lines = (line.partition(";")[0] + ";" + lab for lab, (_, line) in zip(labels, rows))
-    write_lines(out, "dataset", itertools.chain([f"#{noisy.n} {noisy.d} {noisy.l}"], lines))
+        features = (line.partition(";")[0] for _, line in rows)
+    _write_dataset(out, noisy, format, features)
     return noisy
 
 

@@ -122,31 +122,22 @@ def derive_seed(master: int, *path: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def feature_transform(cfg: ExperimentConfig, train: Dataset) -> FeatureTransform | None:
-    """The feature transform ``cfg`` asks for, fitted on ``train`` alone:
-    z-scores on the training mean and std (constant columns are centred,
-    not scaled), then a constant-1 column appended last. None without
-    either setting."""
+def transform_features(cfg: ExperimentConfig,
+                       train: Dataset) -> tuple[FeatureTransform | None, Dataset]:
+    """The feature transform ``cfg`` asks for, fitted on ``train`` alone,
+    and ``train`` through it: z-scores on the training mean and std
+    (constant columns are centred, not scaled), then a constant-1 column
+    appended last. ``(None, train)`` without either setting. Any other set
+    goes through the model's transform, which ``predict`` applies."""
     if not (cfg.standardize_features or cfg.add_bias):
-        return None
+        return None, train
     if cfg.standardize_features:
         mean, scale = train.X.mean(axis=0), train.X.std(axis=0)
         scale = np.where(scale < 1e-12, 1.0, scale)
     else:
         mean, scale = np.zeros(train.d), np.ones(train.d)
-    return FeatureTransform(mean, scale, cfg.add_bias)
-
-
-def _transformed(transform: FeatureTransform | None, sets) -> list[Dataset]:
-    if transform is None:
-        return list(sets)
-    return [Dataset(transform.apply(ds.X), ds.Y, ds.Ytruth) for ds in sets]
-
-
-def transform_features(cfg: ExperimentConfig, train: Dataset, *others: Dataset) -> list[Dataset]:
-    """``train`` and ``others`` through ``feature_transform(cfg, train)``;
-    without a transform the sets come back as given."""
-    return _transformed(feature_transform(cfg, train), (train, *others))
+    transform = FeatureTransform(mean, scale, cfg.add_bias)
+    return transform, Dataset(transform.apply(train.X), train.Y, train.Ytruth)
 
 
 def _fold_indices(n: int, folds: int, seed: int) -> list[np.ndarray]:
@@ -309,8 +300,8 @@ def select_lambda2(train: Dataset, cfg: ExperimentConfig, seed: int) -> float:
 
 
 @contextmanager
-def _stage(name: str):
-    """Re-raise package errors with the failing pipeline stage prefixed.
+def _stage(prefix: str):
+    """Re-raise package errors with ``prefix`` (the stage or split) first.
 
     The message is changed on the exception itself, so its type and
     attributes (such as ``ParseError.line``) survive.
@@ -318,16 +309,15 @@ def _stage(name: str):
     try:
         yield
     except PmltkError as exc:
-        exc.args = (f"{name} stage: {exc}",)
+        exc.args = (f"{prefix}: {exc}",)
         raise
 
 
 def fit_pipeline(train: Dataset, cfg: ExperimentConfig, split_index: int,
                  enrichment: EnrichmentMatrix | None = None):
-    """Both stages on a training set: fit the feature transform
-    (``feature_transform``) and apply it, select lambda2
-    (``select_lambda2``), enrich (``enrich_dataset``, unless
-    ``enrichment`` is given), then fit.
+    """Both stages on a training set: fit the feature transform and apply
+    it (``transform_features``), select lambda2 (``select_lambda2``),
+    enrich (``enrich_dataset``, unless ``enrichment`` is given), then fit.
 
     The cross-validation folds are seeded from ``cfg.seed`` and
     ``split_index``. Returns ``(model, trace, lambda2)``, where ``trace``
@@ -338,14 +328,13 @@ def fit_pipeline(train: Dataset, cfg: ExperimentConfig, split_index: int,
         raise DataError(
             f"enrichment is {enrichment.n} x {enrichment.l} but dataset is {train.n} x {train.l}"
         )
-    transform = feature_transform(cfg, train)
-    [train] = _transformed(transform, [train])
-    with _stage("lambda2 selection"):
+    transform, train = transform_features(cfg, train)
+    with _stage("lambda2 selection stage"):
         lam2 = select_lambda2(train, cfg, derive_seed(cfg.seed, _STAGE_CV, split_index))
     if enrichment is None:
-        with _stage("enrichment"):
+        with _stage("enrichment stage"):
             enrichment = enrich_dataset(train, cfg)
-    with _stage("training"):
+    with _stage("training stage"):
         model, _, trace = fit(train.X, enrichment.Yhat, train.Y, cfg.trainer_config(lam2))
     return replace(model, transform=transform), trace, lam2
 
@@ -364,18 +353,15 @@ def run_splits(cfg: ExperimentConfig) -> tuple[list[MetricsReport], list[float]]
     reports: list[MetricsReport] = []
     lambdas: list[float] = []
     for i in range(cfg.splits):
-        try:
-            with _stage("split"):
+        with _stage(f"split {i} failed"):
+            with _stage("split stage"):
                 spec = SplitSpec(cfg.split_fraction, derive_seed(cfg.seed, _STAGE_SPLIT, i))
                 train_rows, test_rows = _split_rows(noisy.n, spec)
             model, _, lam2 = fit_pipeline(noisy.subset(train_rows), cfg, i)
-            with _stage("evaluation"):
+            with _stage("evaluation stage"):
                 test = noisy.subset(test_rows)
                 report = evaluate(*predict(model, test.X), test.Ytruth)
                 del test  # not held through the next split's fit
-        except PmltkError as exc:
-            exc.args = (f"split {i} failed: {exc}",)
-            raise
         reports.append(report)
         lambdas.append(lam2)
     return reports, lambdas

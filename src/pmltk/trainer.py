@@ -1,15 +1,18 @@
 """Joint estimation of label confidences and a linear predictor.
 
 Given features ``X`` and a signed enrichment matrix ``Yhat``, the
-trainer alternates three block updates until the objective
+trainer iterates three block updates on the objective
 
     ||Yhat - C B||_F^2 + ||C - X W||_F^2
         + lambda1 * ||B||_* + lambda2 * ||W||_F^2
 
-stops moving: a closed-form confidence update clamped into [0, 1] and
-masked to the candidate set, an inner ADMM loop on the label
-correlation matrix ``B`` with singular value thresholding for the
-nuclear norm, and a ridge solve for the predictor ``W``. All linear
+until its relative change is below ``outer_tol``: a confidence update
+that clamps the unconstrained solution into [0, 1] and masks it to the
+candidate set, an inner ADMM loop on the label correlation matrix ``B``
+with singular value thresholding, and a ridge solve for the predictor
+``W``. The clamp is not the box minimizer, so this is a fixed-point
+iteration, not a minimization: the objective need not fall, and the
+stop can fire at a turning point rather than a minimum. All linear
 systems go through symmetric positive-definite factorizations; no
 matrix is ever inverted explicitly: each is factored by LAPACK's
 ``dpotrf`` and solved by its ``dpotrs``, called directly rather than
@@ -214,10 +217,11 @@ def _solve(c, b) -> np.ndarray:
 def update_c(state: TrainerState, Yhat, outside) -> np.ndarray:
     """Confidence update: solve the stationarity system, clamp, mask.
 
-    The unconstrained minimizer ``(Yhat B^T + X W)(B B^T + I)^{-1}`` is
+    The unconstrained solution ``(Yhat B^T + X W)(B B^T + I)^{-1}`` is
     clamped entrywise into [0, 1] and then zeroed where the boolean mask
     ``outside`` (``Y == 0``) is true, so ``0 <= C <= Y`` holds exactly
-    afterwards.
+    afterwards. ``B B^T + I`` is not diagonal, so this is not the
+    minimizer over the box, and the step can raise the objective.
     """
     B = state.B
     G = B @ B.T
@@ -323,14 +327,15 @@ def _relative_change(trace) -> float:
 
 @single_threaded
 def fit(X, Yhat, Y, cfg: TrainerConfig = TrainerConfig()):
-    """Alternating minimization over (C, B, W).
+    """Fixed-point iteration of the (C, B, W) block updates.
 
     Initialization: C is the positive part of ``Yhat`` masked to the
     candidate set, B and Bhat start at the identity, Theta and W at
     zero. The loop runs ``_step`` until ``_relative_change`` of the
     objective drops below ``cfg.outer_tol`` or ``cfg.outer_max`` is hit;
-    the latter logs a warning on the ``pmltk.trainer`` logger. ``W`` is
-    formed from the ridge coefficients once, on return.
+    the latter logs a warning on the ``pmltk.trainer`` logger. The
+    objective need not fall (``update_c``): the stop can fire at a
+    turning point. ``W`` is formed from the ridge coefficients on return.
 
     Returns ``(model, state, trace)`` where ``trace`` holds the
     objective at initialization and after every outer iteration, and
@@ -474,4 +479,5 @@ def load_predictions(path):
             labels.append([int(t) for t in ltoks])
         except ValueError as exc:
             raise ParseError(f"bad label value: {exc}", line=lineno) from None
-    return np.array(scores), _as_binary(np.array(labels), "prediction labels", [n for n, _ in rows])
+    return np.array(scores), _as_binary(np.array(labels, dtype=object), "prediction labels",
+                                        [n for n, _ in rows])

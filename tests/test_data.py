@@ -552,7 +552,9 @@ class TestCLevelParse:
             reader(write(tmp_path, header.format(w=width) + "\n" + row + "\n"))
         assert str(exc.value) == f"line 2: expected {width} {what} values, got 2"
 
-    @pytest.mark.parametrize("label", ["99999999999999999999", "-99999999999999999999"])
+    @pytest.mark.parametrize("label", ["99999999999999999999", "-99999999999999999999",
+                                       "9223372036854775808", "10000000000000000000",
+                                       "18446744073709551615"])
     def test_prediction_label_beyond_int64(self, tmp_path, label):
         p = write(tmp_path, f"#2 2\n0.1,0.2;1,0\n\n0.3,0.4;0,{label}\n")
         with pytest.raises(ValidationError) as exc:

@@ -1,6 +1,7 @@
 """The README's command-line and library examples run as written against
-the package."""
+the package, and the module functions it names exist."""
 
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -70,3 +71,14 @@ def test_bad_settings_exit_1_before_any_read(tmp_path, capsys):
         assert main(["benchmark", str(tmp_path / "missing.sml"), *setting.split()]) == 1, setting
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("error: "), setting
+
+
+def test_module_qualified_names_resolve():
+    # every backticked `pipeline.X`, `pmltk.data.X`, ... names a real attribute
+    text = README.read_text(encoding="utf-8")
+    modules = "pipeline|data|trainer|metrics|enrichment|graph|_blas|cli"
+    names = re.findall(rf"`(?:pmltk\.)?({modules})\.(\w+)[^`]*`", text)
+    assert names
+    missing = [f"{module}.{name}" for module, name in sorted(set(names))
+               if not hasattr(importlib.import_module(f"pmltk.{module}"), name)]
+    assert missing == []

@@ -597,7 +597,7 @@ class TestErrorContext:
 
     def test_stage_keeps_exception_attributes(self):
         with pytest.raises(ParseError) as info:
-            with _stage("split"):
+            with _stage("split stage"):
                 raise ParseError("bad value", line=7)
         assert info.value.line == 7
         assert str(info.value) == "split stage: line 7: bad value"
@@ -658,31 +658,29 @@ class TestFeatureTransform:
     def test_test_set_uses_training_statistics(self):
         train = random_dataset(n=20, d=4, l=3, seed=1)
         test = random_dataset(n=7, d=4, l=3, seed=2)
-        out_train, out_test = transform_features(
-            toy_config("", standardize_features=True), train, test
-        )
+        transform, out_train = transform_features(toy_config("", standardize_features=True), train)
         mu, sd = train.X.mean(axis=0), train.X.std(axis=0)
-        assert out_test.X.tobytes() == ((test.X - mu) / sd).tobytes()
+        assert transform.apply(test.X).tobytes() == ((test.X - mu) / sd).tobytes()
         assert out_train.X.tobytes() == ((train.X - mu) / sd).tobytes()
-        assert (out_test.Y == test.Y).all() and (out_test.Ytruth == test.Ytruth).all()
+        assert (out_train.Y == train.Y).all() and (out_train.Ytruth == train.Ytruth).all()
 
     def test_constant_column_and_bias_last(self):
         ds = random_dataset(n=12, d=3, l=3, seed=4)
         X = ds.X.copy()
         X[:, 1] = 3.0
         ds = pmltk.Dataset(X, ds.Y, ds.Ytruth)
-        [out] = transform_features(toy_config("", standardize_features=True, add_bias=True), ds)
+        _, out = transform_features(toy_config("", standardize_features=True, add_bias=True), ds)
         assert out.X.shape == (12, 4)
         assert (out.X[:, -1] == 1.0).all()
         assert (out.X[:, 1] == 0.0).all()  # centred, not scaled
         np.testing.assert_allclose(out.X[:, [0, 2]].std(axis=0), 1.0)
-        [bias_only] = transform_features(toy_config("", add_bias=True), ds)
+        _, bias_only = transform_features(toy_config("", add_bias=True), ds)
         assert bias_only.X.tobytes() == np.hstack([X, np.ones((12, 1))]).tobytes()
 
     def test_no_transform_passes_sets_through(self):
-        train, test = random_dataset(seed=1), random_dataset(seed=2)
-        out = transform_features(toy_config(""), train, test)
-        assert len(out) == 2 and out[0] is train and out[1] is test
+        train = random_dataset(seed=1)
+        transform, out = transform_features(toy_config(""), train)
+        assert transform is None and out is train
 
     def test_benchmark_with_transform_is_deterministic(self, toy_file):
         cfg = toy_config(toy_file, splits=1, standardize_features=True, add_bias=True)
@@ -703,8 +701,8 @@ class TestFeatureTransform:
         scores, labels = load_predictions(preds)
         assert scores.shape == labels.shape == (raw.n, raw.l)
         # the fit sees the transformed features, the graph those without the bias column
-        [ds] = transform_features(toy_config(noisy, standardize_features=True, add_bias=True),
-                                  raw)
+        _, ds = transform_features(toy_config(noisy, standardize_features=True, add_bias=True),
+                                   raw)
         em = enrich(ds, build_graph(ds.X[:, :-1], KnnConfig(k=4)), PropagationConfig())
         ref, _, _ = fit(ds.X, em.Yhat, ds.Y, TrainerConfig(lambda2=10.0))
         assert W.tobytes() == ref.W.tobytes()
@@ -722,11 +720,12 @@ class TestFeatureTransform:
         capsys.readouterr()
         cfg = toy_config(toy_file, standardize_features="--standardize-features" in options,
                          add_bias="--add-bias" in options)
-        train, held = transform_features(cfg, load(toy_file), load(test))
+        fitted, train = transform_features(cfg, load(toy_file))
+        held_X = fitted.apply(load(test).X)
         em = enrich(train, build_graph(train.X[:, :-1] if cfg.add_bias else train.X,
                                        KnnConfig(k=4)), PropagationConfig())
         ref, _, _ = fit(train.X, em.Yhat, train.Y, TrainerConfig(lambda2=10.0))
-        scores, labels = pmltk.predict(ref, held.X)
+        scores, labels = pmltk.predict(ref, held_X)
         got_scores, got_labels = load_predictions(preds)
         assert got_scores.tobytes() == scores.tobytes()
         assert (got_labels == labels).all()
