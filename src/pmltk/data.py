@@ -78,7 +78,8 @@ def _as_binary(M, name, lines=None):
 def _check_label_sets(Y, Ytruth, lines=None):
     """The label rules of a ``Dataset`` on its 0/1 int8 matrix ``Y``: every
     row carries at least one and at most l-1 candidates, and ``Ytruth``,
-    when given, is a 0/1 matrix of ``Y``'s shape that ``Y`` covers.
+    when given, is a 0/1 matrix of ``Y``'s shape with at least one label
+    per row, which ``Y`` covers.
     Returns ``Ytruth`` as int8 (or None). ``Dataset`` and ``_read`` both
     run them; an error names its row, or its file line when ``lines``
     maps rows to lines."""
@@ -97,6 +98,9 @@ def _check_label_sets(Y, Ytruth, lines=None):
     Yt = _as_binary(Ytruth, "Ytruth")
     if Yt.shape != Y.shape:
         raise ValidationError(f"Ytruth shape {Yt.shape} does not match Y shape {Y.shape}")
+    empty = ~Yt.any(axis=1)
+    if empty.any():
+        raise ValidationError(f"{where(empty)} has an empty ground-truth label set")
     uncovered = (Yt > Y).any(axis=1)
     if uncovered.any():
         at = "" if lines is None else f"line {lines[int(np.argmax(uncovered))]}: "
@@ -111,8 +115,8 @@ class Dataset:
     ``X`` is the dense n x d feature matrix, ``Y`` the binary n x l
     candidate label matrix and ``Ytruth`` the optional ground-truth
     matrix, kept only for evaluation. Every row of ``Y`` carries at
-    least one and at most l-1 labels, and ``Ytruth`` is covered by
-    ``Y`` elementwise when present.
+    least one and at most l-1 labels. ``Ytruth``, when present, carries
+    at least one label per row and is covered by ``Y`` elementwise.
     """
 
     X: np.ndarray
@@ -508,9 +512,6 @@ def inject_noise(ds: Dataset, cfg: NoiseConfig) -> Dataset:
     if ds.Ytruth is None:
         raise StateError("inject_noise needs a dataset with ground-truth labels")
     g_per_row = ds.Ytruth.sum(axis=1)
-    if (g_per_row < 1).any():
-        i = int(np.argmin(g_per_row))
-        raise ValidationError(f"instance {i} has no ground-truth labels")
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     Y = ds.Ytruth.copy()
     l = ds.l

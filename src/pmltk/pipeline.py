@@ -15,17 +15,15 @@ perturbs the results of earlier splits. The run holds BLAS at one
 thread (see ``_blas``), so for a given numpy/scipy build the whole
 report is a deterministic function of (dataset, config, seed).
 
-The cross-validation folds are independent, so ``select_lambda2`` runs
-them on up to one process per usable CPU: the caller runs the first
-block of folds while forked children run the later blocks, and a block
-a child did not send back whole runs in the caller. Each fold's
-arithmetic is the same in any process and the fold scores are summed in
-the caller in fold order, so the result does not depend on the number
-of processes. Children are forked, not spawned: a spawned worker would
-import numpy, scipy and pmltk again, which costs about as much as the
-folds it would take over. A fork is made only while no other Python
-thread is alive; the bundled OpenBLAS builds stop their own thread pools
-around a fork (``pthread_atfork``).
+The cross-validation folds are independent, so ``_run_folds`` runs
+them on up to one process per usable CPU. Each fold's arithmetic is the
+same in any process and the fold scores are summed in the caller in fold
+order, so the result does not depend on the number of processes.
+Children are forked, not spawned: a spawned worker would import numpy,
+scipy and pmltk again, which costs about as much as the folds it would
+take over. A fork is made only while no other Python thread is alive;
+the bundled OpenBLAS builds stop their own thread pools around a fork
+(``pthread_atfork``).
 """
 
 from __future__ import annotations
@@ -181,55 +179,67 @@ def _cv_workers(folds: int) -> int:
     return max(1, min(folds, cpus or 1))
 
 
-class _ForkedFolds:
-    """The CV folds ``block`` (fold numbers in order), run by a forked child
-    that sends ``(APs in fold order, log records)`` back through a pipe once
-    it has run them all. ``join`` returns them, or None when the fork failed
-    or the child did not send them whole."""
+def _run_folds(folds: int, run_fold) -> list:
+    """``[run_fold(i) for i in range(folds)]``, on up to one process per
+    usable CPU (see the module docstring).
 
-    def __init__(self, block: list[int], run_fold):
-        self.block, self.pid = block, None
-        read_fd, write_fd = os.pipe()
-        with suppress(OSError):  # no child: the pipe reads empty
-            self.pid = os.fork()
-        if self.pid == 0:
-            self._child(read_fd, write_fd, run_fold)
-        os.close(write_fd)
-        self._pipe = open(read_fd, "rb")
-
-    def _child(self, read_fd: int, write_fd: int, run_fold):
-        # Leaves only through os._exit, with status 0 once the results are
-        # written: it never returns into the caller's frames, so every logger
-        # may hand its records to the list, for the caller to replay.
-        status = 1
-        try:
-            os.close(read_fd)
-            records = []
-            logging.Logger.handle = records.append
-            aps = [run_fold(i) for i in self.block]
-            with open(write_fd, "wb") as pipe:
-                pickle.dump((aps, records), pipe)
-            status = 0
-        finally:
-            os._exit(status)
-
-    def join(self):
-        """Read the pipe to its end, then reap the child: what it sent, or None."""
-        with self._pipe:
-            data = self._pipe.read()
-        if self.pid is None:
-            return None
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        return pickle.loads(data) if os.waitstatus_to_exitcode(status) == 0 else None
-
-    def kill(self):
-        """Close the pipe, then kill and reap the child unless it was joined."""
-        self._pipe.close()
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
+    The folds are cut into contiguous blocks, one per process
+    (``_cv_workers``): the caller runs the first block, forked children
+    run the others. The caller alone runs every fold when there is one
+    usable CPU, when ``os.fork`` is missing or when another thread is
+    alive. A child sends ``(results in fold order, log records)`` back
+    through a pipe once it has run its whole block. It hands back every
+    log record, of any logger, before a filter or handler sees it, and
+    the caller passes it to its logger after the earlier folds, so each
+    record meets the filters and handlers once and in fold order, as in
+    a run in one process. A block a child did not send back whole (a fold
+    failed, the fork failed or the results could not be pickled) runs in
+    the caller, so a failure raises the error of the lowest failing fold,
+    as the caller alone would. No child outlives the call.
+    """
+    own, *shares = [b.tolist() for b in np.array_split(np.arange(folds), _cv_workers(folds))]
+    children = []  # [block, pid (None: no child, or reaped), pipe] per share
+    try:
+        for block in shares:
+            read_fd, write_fd = os.pipe()
+            pid = None
+            with suppress(OSError):  # no child: the pipe reads empty
+                pid = os.fork()
+            if pid == 0:
+                # the child leaves only through os._exit, with status 0 once
+                # the results are written: it never returns into the caller's
+                # frames, so every logger may hand its records to the list
+                status = 1
+                try:
+                    os.close(read_fd)
+                    records = []
+                    logging.Logger.handle = records.append
+                    results = [run_fold(i) for i in block]
+                    with open(write_fd, "wb") as out:
+                        pickle.dump((results, records), out)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            children.append([block, pid, open(read_fd, "rb")])
+        results = [run_fold(i) for i in own]
+        for child in children:
+            block, pid, pipe = child
+            data, code = pipe.read(), None
+            if pid is not None:
+                _, status = os.waitpid(pid, 0)
+                child[1], code = None, os.waitstatus_to_exitcode(status)
+            sent, records = pickle.loads(data) if code == 0 else ([run_fold(i) for i in block], [])
+            for record in records:
+                logging.getLogger(record.name).handle(record)
+            results += sent
+    finally:
+        for _, pid, pipe in children:
+            pipe.close()
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return results
 
 
 @single_threaded
@@ -247,19 +257,8 @@ def select_lambda2(train: Dataset, cfg: ExperimentConfig, seed: int) -> float:
     fold. The mean AP of every grid value and the choice are logged at
     INFO on the ``pmltk.pipeline`` logger.
 
-    The folds are cut into contiguous blocks, one per process (see the
-    module docstring): the caller runs the first block, forked children
-    run the others. The caller alone runs every fold when there is one
-    usable CPU, when ``os.fork`` is missing or when another thread is
-    alive. The fold scores are summed in the caller in fold order. A
-    child hands back every log record, of any logger, before a filter or
-    handler sees it, and the caller passes it to its logger after the
-    earlier folds, so each record meets the filters and handlers once and
-    in fold order, as in a run in one process. A block a child did not
-    send back whole (a fold failed, the fork failed or the result could
-    not be pickled) runs in the caller, so a failure raises the error of
-    the lowest failing fold, as the caller alone would. No child outlives
-    the call.
+    The folds run on up to one process per usable CPU (``_run_folds``),
+    and their scores are summed here in fold order.
     """
     if cfg.lambda2 is not None:
         return float(cfg.lambda2)
@@ -271,26 +270,9 @@ def select_lambda2(train: Dataset, cfg: ExperimentConfig, seed: int) -> float:
         raise ConfigError(f"cannot make {folds} folds out of {train.n} training instances")
     parts = _fold_indices(train.n, folds, seed)
 
-    def run_fold(i: int) -> np.ndarray:
-        return _fold_aps(train, cfg, grid, parts[i])
-
-    own, *shares = [b.tolist() for b in np.array_split(np.arange(folds), _cv_workers(folds))]
-    children: list[_ForkedFolds] = []
     ap_sums = np.zeros(len(grid))
-    try:
-        for block in shares:
-            children.append(_ForkedFolds(block, run_fold))
-        for i in own:
-            ap_sums += run_fold(i)
-        for child in children:
-            block_aps, records = child.join() or ([run_fold(i) for i in child.block], [])
-            for record in records:
-                logging.getLogger(record.name).handle(record)
-            for aps in block_aps:
-                ap_sums += aps
-    finally:
-        for child in children:
-            child.kill()
+    for aps in _run_folds(folds, lambda i: _fold_aps(train, cfg, grid, parts[i])):
+        ap_sums += aps
     best = int(np.argmax(ap_sums))  # first max = smallest grid value on ties
     _log.info(
         "lambda2 CV mean AP over %d folds: %s; selected %r",

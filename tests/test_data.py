@@ -61,6 +61,23 @@ class TestDatasetType:
         with pytest.raises(ValidationError):
             Dataset(np.zeros((1, 2)), [[2, 0, 0]])
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: data._as_binary(np.zeros(3), "Y"), "Y must be a 2-d matrix, got ndim=1"),
+        (lambda: Dataset(np.zeros((2, 2)), [[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1]]),
+         "Ytruth shape (2, 2) does not match Y shape (2, 3)"),
+        (lambda: Dataset(np.zeros(2), [[1, 0], [0, 1]]), "X must be a 2-d matrix, got ndim=1"),
+        (lambda: Dataset(np.zeros((2, 0)), [[1, 0], [0, 1]]),
+         "dimensions must be positive, got n=2 d=0 l=2"),
+        (lambda: split(Dataset(np.zeros((1, 2)), [[1, 0]]), SplitSpec()),
+         "need at least 2 instances to split, got 1"),
+        (lambda: Dataset(np.zeros((2, 2)), [[1, 0], [0, 1]], [[1, 0], [0, 0]]),
+         "instance 1 has an empty ground-truth label set"),
+    ], ids=["binary-ndim", "truth-shape", "X-ndim", "d-zero", "split-one-row", "empty-truth"])
+    def test_input_check_message(self, call, message):
+        with pytest.raises(ValidationError) as exc:
+            call()
+        assert type(exc.value) is ValidationError and str(exc.value) == message
+
 
 class TestLoad:
     def test_sparse_example(self, tmp_path):
@@ -135,12 +152,13 @@ class TestLoad:
         ("sparse-multilabel", "#2 3 4\n\n0 0:1.0\n|1 1:1.0\n", ValidationError),
         ("sparse-multilabel", "#2 3 4\n\n0|0 0:1.0\n1| 1:1.0\n", ValidationError),
         ("dense-csv", "#2 2 2\n\n0.1,0.2;1,0\n0.3;0,1\n", ParseError),
+        ("dense-csv", "#2 2 2\n\n0.1,0.2;1,0;1,0\n0.3,0.4;0,1;0,0\n", ValidationError),
     ], ids=[
         "sparse-mixed-truth", "sparse-mixed-no-truth", "dense-mixed-truth",
         "dense-mixed-no-truth", "dense-one-block", "dense-four-blocks",
         "dense-non-binary-label", "dense-non-binary-truth", "dense-empty-candidates",
         "sparse-pair-without-colon", "sparse-bad-feature-value", "sparse-empty-candidates",
-        "sparse-empty-truth", "dense-too-few-features",
+        "sparse-empty-truth", "dense-too-few-features", "dense-empty-truth",
     ])
     def test_bad_row_names_file_line(self, tmp_path, fmt, text, error):
         # the bad row sits on line 4 of the file, after a blank line
@@ -593,6 +611,7 @@ class TestLoadTruth:
         "#2 2 2\n\n0.1,0.2;1,0\n0.3,0.4;0,1,0\n",
         "#2 2 2\n\n0.1,0.2;1,0\n0.3,0.4\n",
         "#3 2 2\n\n0.1,0.2;1,0\n0.3,0.4;0,1\n",
+        "#2 2 2\n\n0.1,0.2;1,0;1,0\n0.3,0.4;0,1;0,0\n",
     ])
     def test_dense_label_errors_match_load(self, tmp_path, text):
         p = write(tmp_path, text)

@@ -252,6 +252,18 @@ class TestConfig:
         with pytest.raises(ConfigError):
             PropagationConfig(tol=0.0)
 
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: PropagationConfig(max_iters=0), ConfigError, "max_iters must be >= 1, got 0"),
+        (lambda: enrichment.EnrichmentMatrix(np.zeros(3)), ShapeError,
+         "enrichment must be 2-d, got ndim=1"),
+        (lambda: normalize_step(np.zeros((2, 3)), np.ones((3, 2))), ShapeError,
+         "F(2, 3) and Y(3, 2) must match"),
+    ], ids=["max-iters", "enrichment-ndim", "normalize-shape"])
+    def test_input_check_message(self, call, error, message):
+        with pytest.raises(error) as exc:
+            call()
+        assert type(exc.value) is error and str(exc.value) == message
+
 
 class TestPersistence:
     def test_round_trip(self, tmp_path):

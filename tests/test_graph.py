@@ -21,6 +21,7 @@ from pmltk import (
     ConfigError,
     KnnConfig,
     NumericError,
+    ShapeError,
     ValidationError,
     build_graph,
     nnls,
@@ -329,6 +330,21 @@ class TestWeightGraph:
     def test_rejects_self_loop(self):
         with pytest.raises(ValidationError):
             WeightGraph(np.array([[0], [0]]), np.array([[1.0], [1.0]]))
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: WeightGraph(np.zeros((3, 2), dtype=int), np.zeros((3, 1))), ShapeError,
+         "neighbors (3, 2) and weights (3, 1) must be equal 2-d shapes"),
+        (lambda: WeightGraph([[1], [2], [3]], np.ones((3, 1))), ValidationError,
+         "neighbor index out of range"),
+        (lambda: WeightGraph([[1], [2], [0]], -np.ones((3, 1))), ValidationError,
+         "weights must be non-negative"),
+        (lambda: nnls(np.zeros((3, 2)), np.zeros(2)), ShapeError,
+         "incompatible shapes A(3, 2), b(2,)"),
+    ], ids=["graph-shape", "neighbor-range", "negative-weight", "nnls-shape"])
+    def test_input_check_message(self, call, error, message):
+        with pytest.raises(error) as exc:
+            call()
+        assert type(exc.value) is error and str(exc.value) == message
 
     def test_matrix_layout(self):
         g = WeightGraph(np.array([[1, 2], [0, 2], [0, 1]]),

@@ -283,6 +283,21 @@ class TestForkedFolds:
             select_lambda2(clustered_dataset(**self.DATA), toy_config("", k=3, cv_folds=5), 1)
         assert_no_child_left()
 
+    def test_interrupt_while_joining_leaves_no_child(self, monkeypatch):
+        # the caller stops on the first child's results, before it reaps the second
+        caller, real_loads = os.getpid(), pipeline.pickle.loads
+
+        def interrupted_loads(data):
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+            return real_loads(data)
+
+        monkeypatch.setattr(pipeline.pickle, "loads", interrupted_loads)
+        use_workers(monkeypatch, 3)
+        with pytest.raises(KeyboardInterrupt):
+            select_lambda2(clustered_dataset(**self.DATA), toy_config("", k=3, cv_folds=5), 1)
+        assert_no_child_left()
+
     def test_fold_warnings_reach_handlers_once_in_fold_order(self, monkeypatch, caplog):
         ds = clustered_dataset(**self.DATA)
         cfg = toy_config("", k=3, lambda2_grid=(10.0, 100.0), cv_folds=5)

@@ -593,6 +593,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             TrainerConfig(admm_iters=0)
 
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: TrainerConfig(outer_tol=0), ConfigError, "outer_tol must be positive, got 0"),
+        (lambda: save_predictions(np.zeros((2, 3)), np.zeros((2, 2)), "unwritten.txt"),
+         ShapeError, "scores(2, 3) and labels(2, 2) must match"),
+    ], ids=["outer-tol", "predictions-shape"])
+    def test_input_check_message(self, call, error, message, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # a path a broken check would write to
+        with pytest.raises(error) as exc:
+            call()
+        assert type(exc.value) is error and str(exc.value) == message
+
 
 class TestPersistence:
     def test_model_round_trip(self, tmp_path):
