@@ -30,7 +30,9 @@ import sys
 import threading
 
 import numpy
-import scipy
+
+# scipy's package directory, found without running scipy/__init__
+_SCIPY_DIR = importlib.util.find_spec("scipy").submodule_search_locations[0]
 
 # (get, set) thread-count entry points of the OpenBLAS builds in numpy and
 # scipy wheels: scipy-openblas with 64- and 32-bit integers, then plain OpenBLAS.
@@ -46,9 +48,8 @@ _SYMBOLS = (
 def _openblas() -> tuple:
     """(get, set) thread-count functions of each OpenBLAS in ``numpy.libs`` and ``scipy.libs``."""
     found = []
-    for pkg in (numpy, scipy):
-        libdir = os.path.join(os.path.dirname(os.path.dirname(pkg.__file__)), pkg.__name__ + ".libs")
-        for path in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
+    for pkgdir in (os.path.dirname(numpy.__file__), _SCIPY_DIR):
+        for path in sorted(glob.glob(os.path.join(pkgdir + ".libs", "*openblas*"))):
             try:
                 lib = ctypes.CDLL(path)
             except OSError:
@@ -112,7 +113,7 @@ def scipy_extension(package: str, name: str):
     module = sys.modules.get(fullname)
     if module is not None:
         return module
-    base = os.path.join(os.path.dirname(scipy.__file__), package, name)
+    base = os.path.join(_SCIPY_DIR, package, name)
     paths = [base + suffix for suffix in importlib.machinery.EXTENSION_SUFFIXES]
     path = next((p for p in paths if os.path.isfile(p)), None)
     if path is None:

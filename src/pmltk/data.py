@@ -12,18 +12,18 @@ start with a ``#n d l`` header line:
   optionally followed by a third ``;t1,...,tl`` ground-truth block.
 
 Every dataset file is read by one ``_read``: ``read_table`` followed by
-one parse of its rows. A dense file goes through one C-level pass
-(``np.loadtxt``) when every row has the expected blocks, binary labels
-and a candidate, and otherwise through one loop over the rows, with one
-row parser per format; either every row carries a ground-truth block or
-none does. A bad row raises an error that names its line of the file,
-and so does a bad label set. ``load`` builds a ``Dataset`` from the
-parse, ``load_truth`` runs it on the label blocks alone, and
-``_write_dataset`` lays out every row ``save`` and ``inject_noise_file``
-write, the latter with each row's own feature text. ``_as_binary`` is
-the one 0/1 check on label matrices: datasets, the metrics and the
-prediction reader all go through it, and ``_check_label_sets`` holds
-the rules on label sets that ``Dataset`` and ``_read`` share.
+one parse of its rows, which checks syntax only. A dense file goes through
+one C-level pass (``np.loadtxt``) when every row has the expected blocks
+and values, and otherwise through one loop over the rows, with one row
+parser per format; either every row carries a ground-truth block or none
+does. A bad row, label value or label set raises an error naming its line
+of the file. ``load`` builds a ``Dataset`` from the parse, ``load_truth``
+runs it on the label blocks alone, and ``_write_dataset`` lays out every
+row ``save`` and ``inject_noise_file`` write, the latter with each row's
+own feature text. ``_as_binary`` is the one 0/1 check on label matrices:
+datasets, the dataset and prediction readers and the metrics all go
+through it, and ``_check_label_sets`` holds the rules on label sets that
+``Dataset`` and ``_read`` share.
 
 Floats are serialized with ``repr`` so save followed by load restores
 every matrix bit-exactly. The enrichment, model and prediction files
@@ -80,22 +80,22 @@ def _check_label_sets(Y, Ytruth, lines=None):
     row carries at least one and at most l-1 candidates, and ``Ytruth``,
     when given, is a 0/1 matrix of ``Y``'s shape with at least one label
     per row, which ``Y`` covers.
-    Returns ``Ytruth`` as int8 (or None). ``Dataset`` and ``_read`` both
-    run them; an error names its row, or its file line when ``lines``
-    maps rows to lines."""
+    Returns ``Ytruth`` as int8 (or None), with its 0/1 check run first.
+    ``Dataset`` and ``_read`` both run them; an error names its row, or
+    its file line when ``lines`` maps rows to lines."""
     def where(rows):  # the first offending row
         i = int(np.argmax(rows))
         return f"instance {i}" if lines is None else f"line {lines[i]}: instance"
 
+    Yt = None if Ytruth is None else _as_binary(Ytruth, "Ytruth", lines)
     l = Y.shape[1]
     sums = Y.sum(axis=1)
     if (sums < 1).any():
         raise ValidationError(f"{where(sums < 1)} has an empty candidate label set")
     if (sums > l - 1).any():
         raise ValidationError(f"{where(sums == l)} carries all {l} labels; at most l-1 are allowed")
-    if Ytruth is None:
+    if Yt is None:
         return None
-    Yt = _as_binary(Ytruth, "Ytruth")
     if Yt.shape != Y.shape:
         raise ValidationError(f"Ytruth shape {Yt.shape} does not match Y shape {Y.shape}")
     empty = ~Yt.any(axis=1)
@@ -303,11 +303,9 @@ def write_lines(path, kind: str, lines) -> None:
         raise DataError(f"cannot write {kind} {path}: {exc}") from None
 
 
-def _parse_label_list(text: str, l: int, lineno: int, what: str) -> list[int]:
-    if not text:
-        raise ValidationError(f"line {lineno}: empty {what} label set")
+def _parse_label_list(text: str, l: int, lineno: int) -> list[int]:
     out = []
-    for tok in text.split(","):
+    for tok in text.split(",") if text else ():
         try:
             j = int(tok)
         except ValueError:
@@ -324,9 +322,9 @@ def _sparse_row(line, lineno, x, y, t, features=True) -> bool:
     label token is read."""
     labels, *rest = line.split(None, 1)
     cand_txt, with_truth, truth_txt = labels.partition("|")
-    y[_parse_label_list(cand_txt, len(y), lineno, "candidate")] = 1
+    y[_parse_label_list(cand_txt, len(y), lineno)] = 1
     if with_truth:
-        t[_parse_label_list(truth_txt, len(t), lineno, "ground-truth")] = 1
+        t[_parse_label_list(truth_txt, len(t), lineno)] = 1
     if features:
         for pair in rest[0].split() if rest else ():
             f, _, v = pair.partition(":")
@@ -352,24 +350,18 @@ def _dense_row(line, lineno, x, y, t, features=True) -> bool:
     if features:
         x[:] = parse_float_row(blocks[0], len(x), lineno, "feature")
     for target, text, what in zip((y, t), blocks[1:], ("candidate", "ground-truth")):
-        row = np.array(parse_float_row(text, len(target), lineno, what + " label"))
-        bad = (row != 0) & (row != 1)
-        if bad.any():
-            raise ParseError(f"{what} labels must be 0 or 1, got {row[bad][0]}", line=lineno)
-        target[:] = row
-    if not y.any():
-        raise ValidationError(f"line {lineno}: empty candidate label set")
+        target[:] = parse_float_row(text, len(target), lineno, what + " label")
     return len(blocks) == 3
 
 
 def _dense_pass(rows, d, l, features=True):
-    """``(X, Y, T)`` of the dense rows in one C-level pass, or None when a
-    row needs the row loop: blocks other than the first row's (``d``
-    features and one or two blocks of ``l`` labels), a value
-    ``np.loadtxt`` rejects, a label other than 0 or 1, or an empty
-    candidate set. The loop then raises the error of the first bad row,
-    or reads what only ``float()`` takes. Without ``features`` only the
-    text after each row's first ``;`` is parsed, and X is None."""
+    """``(X, Y, T)`` of the dense rows in one C-level pass, with the label
+    values as read, or None when a row needs the row loop: blocks other
+    than the first row's (``d`` features and one or two blocks of ``l``
+    labels) or a value ``np.loadtxt`` rejects. The loop then raises the
+    error of the first bad row, or reads what only ``float()`` takes.
+    Without ``features`` only the text after each row's first ``;`` is
+    parsed, and X is None."""
     if features:
         texts, widths = [line for _, line in rows], [d]
     else:
@@ -383,14 +375,9 @@ def _dense_pass(rows, d, l, features=True):
     M = _loadtxt((text.replace(";", ",") for text in texts), (len(texts), sum(widths)))
     if M is None:
         return None
+    X = np.ascontiguousarray(M[:, :d]) if features else None
     labels = M[:, d:] if features else M
-    if ((labels != 0) & (labels != 1)).any():
-        return None
-    Y = labels[:, :l].astype(np.int8)
-    if not Y.any(axis=1).all():
-        return None
-    T = labels[:, l:].astype(np.int8) if labels.shape[1] > l else Y.copy()
-    return (np.ascontiguousarray(M[:, :d]) if features else None), Y, T
+    return X, labels[:, :l], labels[:, -l:]  # the last block is T, or Y again in a plain file
 
 
 def _check_format(format: str) -> None:
@@ -403,18 +390,19 @@ def _read(path, format: str, features: bool = True):
     ``(X, Y, T)``, parsed in one C-level pass when the rows are dense and
     clean, otherwise by one loop over the rows, with one row parser per
     format; either every row carries a ground-truth block or none does,
-    and a plain file gives ``T = Y``. The label sets get ``Dataset``'s
-    checks, naming the line of a bad row. Without ``features`` only the
-    label blocks are read and X is None."""
+    and a plain file gives ``T = Y``. The label values and sets get
+    ``Dataset``'s checks after the parse, naming the line of a bad row.
+    Without ``features`` only the label blocks are read and X is None."""
     _check_format(format)
     (n, d, l), rows = read_table(path, "dataset", "n d l")
     parsed = _dense_pass(rows, d, l, features) if format == DENSE_FORMAT else None
     if parsed is None:
         parse_row = _sparse_row if format == SPARSE_FORMAT else _dense_row
+        label_type = np.int8 if format == SPARSE_FORMAT else np.float64  # dense values as read
         try:
             X = np.zeros((n, d if features else 0), dtype=np.float64)
-            Y = np.zeros((n, l), dtype=np.int8)
-            T = np.zeros((n, l), dtype=np.int8)
+            Y = np.zeros((n, l), dtype=label_type)
+            T = np.zeros((n, l), dtype=label_type)
         except (MemoryError, ValueError):
             raise ParseError(f"cannot hold a dataset of n={n} d={d} l={l}", line=1) from None
         for i, (lineno, line) in enumerate(rows):
@@ -425,9 +413,11 @@ def _read(path, format: str, features: bool = True):
                 raise ParseError(
                     "mixed rows: some carry a ground-truth block and some do not", line=lineno
                 )
-        parsed = (X if features else None), Y, (T if has_truth else Y.copy())
+        parsed = (X if features else None), Y, (T if has_truth else Y)
     X, Y, T = parsed
-    return rows, X, Y, _check_label_sets(Y, T, [lineno for lineno, _ in rows])
+    lines = [lineno for lineno, _ in rows]
+    Y = _as_binary(Y, "Y", lines)
+    return rows, X, Y, _check_label_sets(Y, T, lines)
 
 
 def load(path, format: str = SPARSE_FORMAT) -> Dataset:

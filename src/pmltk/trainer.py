@@ -96,9 +96,8 @@ class TrainerConfig:
 @dataclass
 class TrainerState:
     """Mutable optimization state: confidences C (n x l), correlation B
-    (l x l), ADMM auxiliary Bhat and multipliers Theta, predictor W (d x l),
-    and the fitted values ``XW = X @ W`` (n x l) and ``W_norm2 =
-    ||W||_F^2``.
+    (l x l), ADMM multipliers Theta, predictor W (d x l), and the fitted
+    values ``XW = X @ W`` (n x l) and ``W_norm2 = ||W||_F^2``.
 
     The updates read the predictor only through ``XW`` and ``W_norm2``.
     ``fit`` keeps those two current, with ``coef``, the ridge
@@ -110,7 +109,6 @@ class TrainerState:
 
     C: np.ndarray
     B: np.ndarray
-    Bhat: np.ndarray
     Theta: np.ndarray
     W: np.ndarray
     XW: np.ndarray
@@ -239,8 +237,8 @@ def update_b_admm(state: TrainerState, Yhat, cfg: TrainerConfig):
 
     Runs ``cfg.admm_iters`` passes of: auxiliary solve against the data
     term, singular value thresholding at ``lambda1 / tau``, multiplier
-    ascent. Returns the new ``(Bhat, B, Theta)`` triple. ``Bhat`` is the
-    last pass's auxiliary, an output only: ``state.Bhat`` is not read.
+    ascent. Returns the new ``(B, Theta)`` pair; the auxiliary ``Bhat``
+    lives only inside a pass.
     """
     C = state.C
     tau = cfg.tau
@@ -256,7 +254,7 @@ def update_b_admm(state: TrainerState, Yhat, cfg: TrainerConfig):
         except NumericError as exc:
             raise NumericError(f"ADMM pass {it + 1}/{cfg.admm_iters}: {exc}") from None
         Theta = Theta + tau * (B - Bhat)
-    return Bhat, B, Theta
+    return B, Theta
 
 
 class RidgeSolver:
@@ -314,7 +312,7 @@ def _step(state: TrainerState, Yhat, outside, solver: RidgeSolver,
     a new state and leaves ``state`` as it was; its ``W`` is not formed
     (see ``TrainerState``)."""
     new = replace(state, C=update_c(state, Yhat, outside))
-    new.Bhat, new.B, new.Theta = update_b_admm(new, Yhat, cfg)
+    new.B, new.Theta = update_b_admm(new, Yhat, cfg)
     new.coef, new.XW, new.W_norm2 = update_w(new, solver)
     return new
 
@@ -330,9 +328,9 @@ def fit(X, Yhat, Y, cfg: TrainerConfig = TrainerConfig()):
     """Fixed-point iteration of the (C, B, W) block updates.
 
     Initialization: C is the positive part of ``Yhat`` masked to the
-    candidate set, B and Bhat start at the identity, Theta and W at
-    zero. The loop runs ``_step`` until ``_relative_change`` of the
-    objective drops below ``cfg.outer_tol`` or ``cfg.outer_max`` is hit;
+    candidate set, B starts at the identity, Theta and W at zero. The
+    loop runs ``_step`` until ``_relative_change`` of the objective
+    drops below ``cfg.outer_tol`` or ``cfg.outer_max`` is hit;
     the latter logs a warning on the ``pmltk.trainer`` logger. The
     objective need not fall (``update_c``): the stop can fire at a
     turning point. ``W`` is formed from the ridge coefficients on return.
@@ -357,7 +355,6 @@ def fit(X, Yhat, Y, cfg: TrainerConfig = TrainerConfig()):
     state = TrainerState(
         C=np.where(Y == 1, np.maximum(Yhat, 0.0), 0.0),
         B=np.eye(l),
-        Bhat=np.eye(l),
         Theta=np.zeros((l, l)),
         W=np.zeros((d, l)),
         XW=np.zeros((n, l)),

@@ -144,10 +144,10 @@ def svt_objective(B, M, t):
     return float(t * sing.sum() + 0.5 * ((B - M) ** 2).sum())
 
 
-def trainer_state(X, C, B, Bhat, Theta, W):
+def trainer_state(X, C, B, Theta, W):
     """A ``TrainerState`` whose carried ``X W`` and ``||W||_F^2`` are
     computed from ``W``."""
-    return TrainerState(C, B, Bhat, Theta, W, X @ W, float(np.vdot(W, W)))
+    return TrainerState(C, B, Theta, W, X @ W, float(np.vdot(W, W)))
 
 
 @single_threaded
@@ -161,7 +161,7 @@ def reference_fit(X, Yhat, Y, cfg):
     n, d = X.shape
     l = Yhat.shape[1]
     C = np.where(Y == 1, np.maximum(Yhat, 0.0), 0.0)
-    B, Bhat, Theta = np.eye(l), np.eye(l), np.zeros((l, l))
+    B, Theta = np.eye(l), np.zeros((l, l))
     W = np.zeros((d, l))
     dual = cfg.lambda2 > 0 and n < d
     G = X @ X.T if dual else X.T @ X
@@ -186,7 +186,7 @@ def reference_fit(X, Yhat, Y, cfg):
         C = cho_solve(cho_factor(G, lower=True), rhs.T).T
         np.clip(C, 0.0, 1.0, out=C)
         C[Y == 0] = 0.0
-        Bhat, B, Theta = update_b_admm(trainer_state(X, C, B, Bhat, Theta, W), Yhat, cfg)
+        B, Theta = update_b_admm(trainer_state(X, C, B, Theta, W), Yhat, cfg)
         W = X.T @ cho_solve(ridge, C) if dual else cho_solve(ridge, X.T @ C)
         trace.append(objective(C, B, W))
         if abs(trace[-1] - trace[-2]) / max(1.0, abs(trace[-2])) < cfg.outer_tol:

@@ -111,7 +111,7 @@ class TestScipyExtension:
         code = """if True:
             import sys
             from pmltk import enrichment, trainer
-            assert not {"scipy.linalg", "scipy.sparse"} & set(sys.modules)
+            assert not {"scipy", "scipy.linalg", "scipy.sparse"} & set(sys.modules)
             import scipy.linalg.lapack, scipy.sparse._sparsetools
             print(trainer.dpotrf is scipy.linalg.lapack.dpotrf,
                   trainer.dpotrs is scipy.linalg.lapack.dpotrs,

@@ -314,9 +314,9 @@ BAD_DATASETS = {
                                "error: line 4: bad feature value: could not convert string to "
                                "float: 'x'"),
     ("dense-csv", "label"): ("#2 2 2\n0.1,0.2;1,0\n0.3,0.4;0.5,1\n",
-                             "error: line 3: candidate labels must be 0 or 1, got 0.5"),
+                             "error: line 3: Y must be binary (0/1 entries), got 0.5"),
     ("dense-csv", "empty"): ("#2 2 2\n0.1,0.2;1,0\n0.3,0.4;0,0\n",
-                             "error: line 3: empty candidate label set"),
+                             "error: line 3: instance has an empty candidate label set"),
     ("dense-csv", "mixed"): ("#2 2 2\n0.1,0.2;1,0;1,0\n0.3,0.4;0,1\n",
                              "error: line 3: mixed rows: some carry a ground-truth block and "
                              "some do not"),
@@ -331,8 +331,8 @@ BAD_DATASETS = {
                                        "error: line 3: bad feature pair '1:x'"),
     ("sparse-multilabel", "label"): ("#2 2 2\n0 0:0.5\nx 1:0.5\n",
                                      "error: line 3: bad label index 'x'"),
-    ("sparse-multilabel", "empty"): ("#2 2 2\n0 0:0.5\n|1 1:0.5\n",
-                                     "error: line 3: empty candidate label set"),
+    ("sparse-multilabel", "empty"): ("#2 2 2\n0|0 0:0.5\n|1 1:0.5\n",
+                                     "error: line 3: instance has an empty candidate label set"),
     ("sparse-multilabel", "mixed"): ("#2 3 3\n0|0 0:0.5\n1 1:0.5\n",
                                      "error: line 3: mixed rows: some carry a ground-truth block "
                                      "and some do not"),
@@ -390,6 +390,46 @@ def test_evaluate_bad_labels(tmp_path, capsys, fmt, what):
     preds.write_text("#2 2\n0.1,0.2;1,0\n0.3,0.4;0,1\n")
     assert main(["evaluate", str(preds), str(src), "--data-format", fmt]) == 2
     assert capsys.readouterr().err.splitlines() == [line]
+
+
+# Each label rule broken by the second instance, which sits on line 4 after a
+# blank line, in both formats (non-binary values only in the dense one): each
+# rule has one message, whichever format, reader or command meets it.
+LABEL_RULES = {
+    "empty-candidates": ("instance has an empty candidate label set",
+                         "0|0 0:0.5\n\n|1 1:0.5", "0.1,0.2;1,0,0;1,0,0\n\n0.3,0.4;0,0,0;0,1,0"),
+    "empty-truth": ("instance has an empty ground-truth label set",
+                    "0|0 0:0.5\n\n1| 1:0.5", "0.1,0.2;1,0,0;1,0,0\n\n0.3,0.4;0,1,0;0,0,0"),
+    "all-labels": ("instance carries all 3 labels; at most l-1 are allowed",
+                   "0 0:0.5\n\n0,1,2 1:0.5", "0.1,0.2;1,0,0\n\n0.3,0.4;1,1,1"),
+    "truth-not-covered": ("Ytruth must be covered by Y elementwise",
+                          "0|0 0:0.5\n\n1|0,1 1:0.5",
+                          "0.1,0.2;1,0,0;1,0,0\n\n0.3,0.4;0,1,0;1,1,0"),
+    "non-binary-candidate": ("Y must be binary (0/1 entries), got 0.5",
+                             None, "0.1,0.2;1,0,0\n\n0.3,0.4;0,0.5,0"),
+    "non-binary-truth": ("Ytruth must be binary (0/1 entries), got 2.0",
+                         None, "0.1,0.2;1,0,0;1,0,0\n\n0.3,0.4;0,1,0;0,2,0"),
+}
+
+
+@pytest.mark.parametrize("rule, fmt", [
+    (rule, fmt) for rule, (_, sparse, _) in sorted(LABEL_RULES.items())
+    for fmt in ["dense-csv"] + ["sparse-multilabel"] * (sparse is not None)
+])
+def test_label_rule_has_one_message(tmp_path, capsys, rule, fmt):
+    message, sparse, dense = LABEL_RULES[rule]
+    src, out, preds = tmp_path / "in.txt", tmp_path / "out.txt", tmp_path / "preds.csv"
+    src.write_text("#2 2 3\n" + (sparse if fmt == "sparse-multilabel" else dense) + "\n")
+    preds.write_text("#2 3\n0.1,0.2,0.3;1,0,0\n0.3,0.4,0.5;0,1,0\n")
+    for reader in (load, pmltk.data.load_truth):
+        with pytest.raises(pmltk.ValidationError) as exc:
+            reader(src, fmt)
+        assert str(exc.value) == f"line 4: {message}"
+    for argv in (["inject-noise", str(src), "--out", str(out)],
+                 ["evaluate", str(preds), str(src)]):
+        assert main(argv + ["--data-format", fmt]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: line 4: {message}"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("fmt", ["dense-csv", "sparse-multilabel"])

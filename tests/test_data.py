@@ -144,12 +144,12 @@ class TestLoad:
         ("dense-csv", "#2 2 2\n\n0.1,0.2;1,0\n0.3,0.4;0,1;0,1\n", ParseError),
         ("dense-csv", "#2 2 2\n\n0.1,0.2;1,0\n0.3,0.4\n", ParseError),
         ("dense-csv", "#2 2 2\n\n0.1,0.2;1,0\n0.3,0.4;0,1;0,1;0,1\n", ParseError),
-        ("dense-csv", "#2 2 2\n\n0.1,0.2;1,0\n0.3,0.4;0.5,1\n", ParseError),
-        ("dense-csv", "#2 2 2\n\n0.1,0.2;1,0;1,0\n0.3,0.4;0,1;nan,1\n", ParseError),
+        ("dense-csv", "#2 2 2\n\n0.1,0.2;1,0\n0.3,0.4;0.5,1\n", ValidationError),
+        ("dense-csv", "#2 2 2\n\n0.1,0.2;1,0;1,0\n0.3,0.4;0,1;nan,1\n", ValidationError),
         ("dense-csv", "#2 2 2\n\n0.1,0.2;1,0\n0.3,0.4;0,0\n", ValidationError),
         ("sparse-multilabel", "#2 3 4\n\n0 0:1.0\n1 2-1.0\n", ParseError),
         ("sparse-multilabel", "#2 3 4\n\n0 0:1.0\n1 2:x\n", ParseError),
-        ("sparse-multilabel", "#2 3 4\n\n0 0:1.0\n|1 1:1.0\n", ValidationError),
+        ("sparse-multilabel", "#2 3 4\n\n0|0 0:1.0\n|1 1:1.0\n", ValidationError),
         ("sparse-multilabel", "#2 3 4\n\n0|0 0:1.0\n1| 1:1.0\n", ValidationError),
         ("dense-csv", "#2 2 2\n\n0.1,0.2;1,0\n0.3;0,1\n", ParseError),
         ("dense-csv", "#2 2 2\n\n0.1,0.2;1,0;1,0\n0.3,0.4;0,1;0,0\n", ValidationError),
@@ -166,6 +166,22 @@ class TestLoad:
             load(write(tmp_path, text), fmt)
         assert type(exc.value) is error
         assert str(exc.value).startswith("line 4: ")
+
+    @pytest.mark.parametrize("text, message", [
+        ("#2 3 4\n|0 0:1.0\n1|1 1:x\n", "line 3: bad feature pair '1:x'"),
+        ("#2 3 4\n0 0:1.0\n|1 1:1.0\n",
+         "line 3: mixed rows: some carry a ground-truth block and some do not"),
+    ], ids=["bad-feature", "mixed"])
+    def test_sparse_syntax_errors_before_label_sets(self, tmp_path, text, message):
+        # line 2's empty candidate set is judged only after every row parsed
+        with pytest.raises(ParseError) as exc:
+            load(write(tmp_path, text), "sparse-multilabel")
+        assert str(exc.value) == message
+
+    def test_bad_dense_label_skips_row_loop(self, tmp_path):
+        p = write(tmp_path, "#2 2 2\n0.1,0.2;1,0\n0.3,0.4;0,0.5\n")
+        with no_row_loop(), pytest.raises(ValidationError, match="^line 3: Y must be binary"):
+            load(p, "dense-csv")
 
     @pytest.mark.parametrize("reader", [load, data.load_truth], ids=["load", "load_truth"])
     @pytest.mark.parametrize("blank", ["", "\n"], ids=["no-blank", "blank"])
@@ -514,16 +530,23 @@ class TestCLevelParse:
         assert back.Y.dtype == back.Ytruth.dtype == np.int8
 
     @pytest.mark.parametrize("text, message", [
-        # the first bad row wins, whatever is wrong with the rows after it
+        # the first row with a syntax error wins, whatever is wrong with the
+        # rows after it; then the first bad label value, then label set
         ("#2 2 2\n\n0.1,x;1,0\n0.3,0.4;0,1;0,1\n",
          "line 3: bad feature value: could not convert string to float: 'x'"),
+        ("#2 2 2\n0.1,0.2;0.5,0\n0.3,x;0,1\n",
+         "line 3: bad feature value: could not convert string to float: 'x'"),
+        ("#2 2 2\n0.1,0.2;0,0\n0.3,0.4;0.5,1\n", "line 3: Y must be binary (0/1 entries), got 0.5"),
+        ("#2 2 2\n0.1,0.2;0,0;0,0\n0.3,0.4;0,1;0,1\n",
+         "line 2: instance has an empty candidate label set"),
         ("#2 2 2\n\n0.1,0.2;1,0;1,0\n0.3,0.4;0,1\n",
          "line 4: mixed rows: some carry a ground-truth block and some do not"),
         ("#2 2 2\n\n0.1,0.2;1,0\n0.3,0.4;0.5,1\n",
-         "line 4: candidate labels must be 0 or 1, got 0.5"),
+         "line 4: Y must be binary (0/1 entries), got 0.5"),
         ("#2 2 2\n\n0.1,0.2;1,0;1,0\n0.3,0.4;0,1;nan,1\n",
-         "line 4: ground-truth labels must be 0 or 1, got nan"),
-        ("#2 2 2\n\n0.1,0.2;1,0\n0.3,0.4;0,0\n", "line 4: empty candidate label set"),
+         "line 4: Ytruth must be binary (0/1 entries), got nan"),
+        ("#2 2 2\n\n0.1,0.2;1,0\n0.3,0.4;0,0\n",
+         "line 4: instance has an empty candidate label set"),
         ("#2 2 2\n\n0.1,0.2;1,0\n0.3;0,1\n", "line 4: expected 2 feature values, got 1"),
         # as many values as a good row, in the wrong blocks
         ("#2 2 2\n\n0.1,0.2,1;0\n0.3,0.4;0,1\n", "line 3: expected 2 feature values, got 3"),

@@ -52,7 +52,6 @@ def random_state(X, l, rng, w_scale=1.0):
         X,
         C=rng.random((n, l)),
         B=rng.normal(size=(l, l)),
-        Bhat=rng.normal(size=(l, l)),
         Theta=rng.normal(size=(l, l)),
         W=rng.normal(size=(d, l)) * w_scale,
     )
@@ -63,7 +62,7 @@ class TestObjective:
         rng = np.random.default_rng(0)
         Yhat = rng.normal(size=(4, 3))
         state = trainer_state(
-            np.zeros((4, 2)), C=np.zeros((4, 3)), B=np.zeros((3, 3)), Bhat=np.zeros((3, 3)),
+            np.zeros((4, 2)), C=np.zeros((4, 3)), B=np.zeros((3, 3)),
             Theta=np.zeros((3, 3)), W=np.zeros((2, 3)),
         )
         val = objective(state, Yhat, TrainerConfig())
@@ -73,13 +72,13 @@ class TestObjective:
         X = np.eye(3)
         C = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         B = np.eye(2)
-        state = trainer_state(X, C=C, B=B, Bhat=B, Theta=np.zeros((2, 2)), W=C)
+        state = trainer_state(X, C=C, B=B, Theta=np.zeros((2, 2)), W=C)
         cfg = TrainerConfig(lambda1=0.0, lambda2=0.0)
         assert objective(state, C @ B, cfg) == 0.0
 
     def test_scalar_case(self):
         one = np.ones((1, 1))
-        state = trainer_state(one, C=one, B=one, Bhat=one, Theta=np.zeros((1, 1)), W=one)
+        state = trainer_state(one, C=one, B=one, Theta=np.zeros((1, 1)), W=one)
         cfg = TrainerConfig(lambda1=1.0, lambda2=1.0)
         assert objective(state, one, cfg) == pytest.approx(2.0, abs=1e-12)
 
@@ -91,7 +90,7 @@ class TestUpdateC:
         Y = fix_label_rows((rng.random((n, l)) < 0.5).astype(np.int8), rng)
         Yhat = signed_enrichment(Y, rng)
         state = trainer_state(
-            rng.normal(size=(n, d)) * 0, C=np.zeros((n, l)), B=np.eye(l), Bhat=np.eye(l),
+            rng.normal(size=(n, d)) * 0, C=np.zeros((n, l)), B=np.eye(l),
             Theta=np.zeros((l, l)), W=np.zeros((d, l)),
         )
         C = update_c(state, Yhat, Y == 0)
@@ -141,10 +140,11 @@ class TestUpdateBAdmm:
         B = rng.normal(size=(l, l))
         Theta = rng.normal(size=(l, l))
         state = trainer_state(
-            np.zeros((4, 2)), C=np.zeros((4, l)), B=B, Bhat=np.eye(l), Theta=Theta, W=np.zeros((2, l))
+            np.zeros((4, 2)), C=np.zeros((4, l)), B=B, Theta=Theta, W=np.zeros((2, l))
         )
         cfg = TrainerConfig(tau=1.0, admm_iters=1, lambda1=1.0)
-        Bhat, _, _ = update_b_admm(state, np.zeros((4, l)), cfg)
+        B1, Theta1 = update_b_admm(state, np.zeros((4, l)), cfg)
+        Bhat = B1 - (Theta1 - Theta) / cfg.tau  # the pass's auxiliary, from its ascent step
         assert np.allclose(Bhat, B + Theta, atol=1e-12)
 
     def test_consensus_fixed_point_keeps_theta_zero(self):
@@ -153,13 +153,12 @@ class TestUpdateBAdmm:
         C = rng.random((5, l))
         Yhat = C.copy()  # so the auxiliary solve stays near the identity
         state = trainer_state(
-            np.zeros((5, 2)), C=C, B=np.eye(l), Bhat=np.eye(l), Theta=np.zeros((l, l)),
-            W=np.zeros((2, l)),
+            np.zeros((5, 2)), C=C, B=np.eye(l), Theta=np.zeros((l, l)), W=np.zeros((2, l)),
         )
         # with lambda1=0 the thresholding is the identity, so B==Bhat after
         # each pass and the multipliers never move off zero
         cfg = TrainerConfig(lambda1=0.0, tau=1.0, admm_iters=5)
-        _, _, Theta = update_b_admm(state, Yhat, cfg)
+        _, Theta = update_b_admm(state, Yhat, cfg)
         assert np.abs(Theta).max() <= 1e-12
 
     def test_auxiliary_step_is_exact_minimizer(self):
@@ -169,30 +168,19 @@ class TestUpdateBAdmm:
         Yhat = rng.normal(size=(n, l))
         B = rng.normal(size=(l, l))
         Theta = rng.normal(size=(l, l))
-        state = trainer_state(np.zeros((n, 2)), C=C, B=B, Bhat=np.eye(l), Theta=Theta, W=np.zeros((2, l)))
+        state = trainer_state(np.zeros((n, 2)), C=C, B=B, Theta=Theta, W=np.zeros((2, l)))
         cfg = TrainerConfig(tau=1.7, admm_iters=1, lambda1=0.5)
-        Bhat, _, _ = update_b_admm(state, Yhat, cfg)
+        B1, Theta1 = update_b_admm(state, Yhat, cfg)
+        Bhat = B1 - (Theta1 - Theta) / cfg.tau  # the pass's auxiliary, from its ascent step
         grad = 2.0 * C.T @ (C @ Bhat - Yhat) + cfg.tau * Bhat - cfg.tau * B - Theta
         assert np.abs(grad).max() <= 1e-8
-
-    def test_incoming_auxiliary_is_not_read(self):
-        rng = np.random.default_rng(8)
-        n, l = 8, 4
-        C, Yhat = rng.random((n, l)), rng.normal(size=(n, l))
-        B, Theta = rng.normal(size=(l, l)), rng.normal(size=(l, l))
-        out = [
-            update_b_admm(trainer_state(np.zeros((n, 2)), C=C, B=B, Bhat=Bhat, Theta=Theta,
-                                        W=np.zeros((2, l))), Yhat, TrainerConfig(admm_iters=3))
-            for Bhat in (np.eye(l), rng.normal(size=(l, l)))
-        ]
-        assert [M.tobytes() for M in out[0]] == [M.tobytes() for M in out[1]]
 
 
 class TestUpdateW:
     def test_identity_design_zero_ridge(self):
         rng = np.random.default_rng(8)
         C = rng.random((4, 3))
-        state = trainer_state(np.eye(4), C=C, B=np.eye(3), Bhat=np.eye(3),
+        state = trainer_state(np.eye(4), C=C, B=np.eye(3),
                               Theta=np.zeros((3, 3)), W=np.zeros((4, 3)))
         W = ridge_w(state, np.eye(4), TrainerConfig(lambda2=0.0))
         assert np.allclose(W, C, atol=1e-12)
@@ -200,7 +188,7 @@ class TestUpdateW:
     def test_scalar_ridge(self):
         X = np.array([[1.0], [1.0]])
         state = trainer_state(
-            X, C=np.array([[1.0], [0.0]]), B=np.eye(1), Bhat=np.eye(1),
+            X, C=np.array([[1.0], [0.0]]), B=np.eye(1),
             Theta=np.zeros((1, 1)), W=np.zeros((1, 1)),
         )
         W = ridge_w(state, X, TrainerConfig(lambda2=1.0))
@@ -220,7 +208,7 @@ class TestUpdateW:
         X = rng.normal(size=(n, d))
         C = rng.random((n, 3))
         lam = 10.0
-        state = trainer_state(X, C=C, B=np.eye(3), Bhat=np.eye(3),
+        state = trainer_state(X, C=C, B=np.eye(3),
                               Theta=np.zeros((3, 3)), W=np.zeros((d, 3)))
         W = ridge_w(state, X, TrainerConfig(lambda2=lam))
         grad = 2.0 * X.T @ (X @ W - C) + 2.0 * lam * W
@@ -268,7 +256,7 @@ class TestFit:
         Yhat = signed_enrichment(ds.Y, rng)
         _, state, trace = fit(ds.X, Yhat, ds.Y, TrainerConfig())
         assert (state.C >= 0).all() and (state.C <= ds.Y).all()
-        for arr in (state.C, state.B, state.Bhat, state.Theta, state.W):
+        for arr in (state.C, state.B, state.Theta, state.W):
             assert np.isfinite(arr).all()
         assert len(trace) - 1 <= TrainerConfig().outer_max
 
@@ -280,15 +268,15 @@ class TestFit:
         # replay the loop manually, checking the W block each time
         state = trainer_state(
             ds.X, C=np.where(ds.Y == 1, np.maximum(Yhat, 0.0), 0.0),
-            B=np.eye(4), Bhat=np.eye(4), Theta=np.zeros((4, 4)),
+            B=np.eye(4), Theta=np.zeros((4, 4)),
             W=np.zeros((5, 4)),
         )
         for _ in range(4):
             state.C = update_c(state, Yhat, ds.Y == 0)
-            state.Bhat, state.B, state.Theta = update_b_admm(state, Yhat, cfg)
+            state.B, state.Theta = update_b_admm(state, Yhat, cfg)
             before = objective(state, Yhat, cfg)
             W = ridge_w(state, ds.X, cfg)
-            state = trainer_state(ds.X, state.C, state.B, state.Bhat, state.Theta, W)
+            state = trainer_state(ds.X, state.C, state.B, state.Theta, W)
             after = objective(state, Yhat, cfg)
             assert after <= before + 1e-9
 
@@ -403,7 +391,7 @@ def confidence_site(case):
     B = np.full((l, l), 1e8) if case == "singular" else np.eye(l)
     if case == "inf":
         B[0, 0] = 1e200
-    state = trainer_state(np.zeros((4, 2)), C=np.zeros((4, l)), B=B, Bhat=np.eye(l),
+    state = trainer_state(np.zeros((4, 2)), C=np.zeros((4, l)), B=B,
                           Theta=np.zeros((l, l)), W=np.zeros((2, l)))
     update_c(state, np.zeros((4, l)), np.zeros((4, l), dtype=bool))
 
@@ -414,7 +402,7 @@ def admm_site(case):
     C = np.full((4, l), 1e8) if case == "singular" else np.zeros((4, l))
     if case == "inf":
         C[0, 0] = 1e200
-    state = trainer_state(np.zeros((4, 2)), C=C, B=np.eye(l), Bhat=np.eye(l),
+    state = trainer_state(np.zeros((4, 2)), C=C, B=np.eye(l),
                           Theta=np.zeros((l, l)), W=np.zeros((2, l)))
     update_b_admm(state, np.zeros((4, l)), TrainerConfig())
 
@@ -482,7 +470,7 @@ class TestCachedLoop:
         cfg = TrainerConfig(lambda2=lam)
         model, state, trace = fit(X, Yhat, Y, cfg)
         assert model.W.shape == state.W.shape == (d, l)
-        fresh = trainer_state(X, state.C, state.B, state.Bhat, state.Theta, state.W)
+        fresh = trainer_state(X, state.C, state.B, state.Theta, state.W)
         assert objective(fresh, Yhat, cfg) == pytest.approx(trace[-1], rel=1e-10)
         scores, _ = predict(model, X)
         assert np.abs(scores - state.XW).max() <= 1e-10 * max(1.0, np.abs(state.C).max())
@@ -527,7 +515,7 @@ class TestCachedLoop:
         X, Yhat, Y = fit_problem(*DUAL_PROBLEMS[0][:4])
         l = Y.shape[1]
         state = trainer_state(X, C=np.where(Y == 1, np.maximum(Yhat, 0.0), 0.0), B=np.eye(l),
-                              Bhat=np.eye(l), Theta=np.zeros((l, l)), W=np.zeros((X.shape[1], l)))
+                              Theta=np.zeros((l, l)), W=np.zeros((X.shape[1], l)))
         before = {k: np.copy(v) for k, v in vars(state).items() if v is not None}
         new = trainer._step(state, Yhat, Y == 0, RidgeSolver(X, 10.0), TrainerConfig())
         assert isinstance(new, TrainerState) and new is not state
