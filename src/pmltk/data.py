@@ -12,25 +12,26 @@ start with a ``#n d l`` header line:
   optionally followed by a third ``;t1,...,tl`` ground-truth block.
 
 Every dataset file is read by one ``_read``: ``read_table`` followed by
-one parse of its rows, which checks syntax only. A dense file goes through
-one C-level pass (``np.loadtxt``) when every row has the expected blocks
-and values, and otherwise through one loop over the rows, with one row
-parser per format; either every row carries a ground-truth block or none
-does. A bad row, label value or label set raises an error naming its line
-of the file. ``load`` builds a ``Dataset`` from the parse, ``load_truth``
-runs it on the label blocks alone, and ``_write_dataset`` lays out every
-row ``save`` and ``inject_noise_file`` write, the latter with each row's
-own feature text. ``_as_binary`` is the one 0/1 check on label matrices:
-datasets, the dataset and prediction readers and the metrics all go
-through it, and ``_check_label_sets`` holds the rules on label sets that
-``Dataset`` and ``_read`` share.
+one parse of its rows, which checks syntax only; either every row carries
+a ground-truth block or none does. A sparse file goes through one loop
+over its rows. A dense file is three float tables: its rows are split at
+``;`` and the feature, candidate and ground-truth blocks are each parsed
+by ``parse_float_rows``. A bad row, label value or label set raises an
+error naming its line of the file. ``load`` builds a ``Dataset`` from the
+parse, ``load_truth`` runs it on the label blocks alone, and
+``_write_dataset`` lays out every row ``save`` and ``inject_noise_file``
+write, the latter with each row's own feature text. ``_as_binary`` is the
+one 0/1 check on label matrices: datasets, the dataset and prediction
+readers and the metrics all go through it, and ``_check_label_sets``
+holds the rules on label sets that ``Dataset`` and ``_read`` share.
 
 Floats are serialized with ``repr`` so save followed by load restores
 every matrix bit-exactly. The enrichment, model and prediction files
 share the ``#header`` + rows layout: ``read_table`` reads all of them,
-``parse_float_rows`` parses their float rows in one C-level pass, with
-the row loop (``parse_float_row``) as the error path, and
-``write_lines`` writes every file pmltk produces, one line at a time.
+``parse_float_rows`` is the one float-table parse of datasets,
+enrichments and models (one C-level pass, with the row loop
+``parse_float_row`` as the error path), and ``write_lines`` writes every
+file pmltk produces, one line at a time.
 
 Randomness uses numpy's PCG64 generator, so seeded operations are
 reproducible across platforms. Datasets are immutable by convention:
@@ -266,10 +267,13 @@ def _loadtxt(texts, shape):
 
 def parse_float_rows(rows, width, what):
     """The ``(lineno, text)`` rows of ``width`` comma-separated floats as a
-    matrix, parsed in one C-level pass. When that fails the rows go through
+    matrix: one float table of a dense dataset, an enrichment or a model,
+    parsed in one C-level pass. When that fails the rows go through
     ``parse_float_row`` one by one, which raises the first bad row's
     ``ParseError`` or reads the values only ``float()`` accepts."""
-    M = _loadtxt((text for _, text in rows), (len(rows), width))
+    texts = [text for _, text in rows]
+    # np.loadtxt skips empty lines, and warns when all of them are empty
+    M = _loadtxt(texts, (len(rows), width)) if all(texts) else None
     if M is None:
         M = np.array([parse_float_row(text, width, lineno, what) for lineno, text in rows])
     return M
@@ -316,68 +320,24 @@ def _parse_label_list(text: str, l: int, lineno: int) -> list[int]:
     return out
 
 
-def _sparse_row(line, lineno, x, y, t, features=True) -> bool:
+def _sparse_row(line, lineno, x, y, t) -> bool:
     """Fill one instance's rows from ``L_cand[|L_truth] f:v ...``; returns
-    whether the line carries a truth block. Without ``features`` only the
-    label token is read."""
+    whether the line carries a truth block."""
     labels, *rest = line.split(None, 1)
     cand_txt, with_truth, truth_txt = labels.partition("|")
     y[_parse_label_list(cand_txt, len(y), lineno)] = 1
     if with_truth:
         t[_parse_label_list(truth_txt, len(t), lineno)] = 1
-    if features:
-        for pair in rest[0].split() if rest else ():
-            f, _, v = pair.partition(":")
-            try:
-                fi, fv = int(f), float(v)  # a pair without ':' leaves v empty
-            except ValueError:
-                raise ParseError(f"bad feature pair {pair!r}", line=lineno) from None
-            if not 0 <= fi < len(x):
-                raise RangeError(f"feature index {fi} out of range [0,{len(x)})", line=lineno)
-            x[fi] = fv
+    for pair in rest[0].split() if rest else ():
+        f, _, v = pair.partition(":")
+        try:
+            fi, fv = int(f), float(v)  # a pair without ':' leaves v empty
+        except ValueError:
+            raise ParseError(f"bad feature pair {pair!r}", line=lineno) from None
+        if not 0 <= fi < len(x):
+            raise RangeError(f"feature index {fi} out of range [0,{len(x)})", line=lineno)
+        x[fi] = fv
     return bool(with_truth)
-
-
-def _dense_row(line, lineno, x, y, t, features=True) -> bool:
-    """Fill one instance's rows from ``x1,...;y1,...[;t1,...]``; returns
-    whether the line carries a truth block. Without ``features`` the
-    feature block is not read."""
-    blocks = line.split(";")
-    if len(blocks) not in (2, 3):
-        raise ParseError(
-            f"expected 2 or 3 ';'-separated blocks, got {len(blocks)}", line=lineno
-        )
-    if features:
-        x[:] = parse_float_row(blocks[0], len(x), lineno, "feature")
-    for target, text, what in zip((y, t), blocks[1:], ("candidate", "ground-truth")):
-        target[:] = parse_float_row(text, len(target), lineno, what + " label")
-    return len(blocks) == 3
-
-
-def _dense_pass(rows, d, l, features=True):
-    """``(X, Y, T)`` of the dense rows in one C-level pass, with the label
-    values as read, or None when a row needs the row loop: blocks other
-    than the first row's (``d`` features and one or two blocks of ``l``
-    labels) or a value ``np.loadtxt`` rejects. The loop then raises the
-    error of the first bad row, or reads what only ``float()`` takes.
-    Without ``features`` only the text after each row's first ``;`` is
-    parsed, and X is None."""
-    if features:
-        texts, widths = [line for _, line in rows], [d]
-    else:
-        texts, widths = [line.partition(";")[2] for _, line in rows], []
-    label_blocks = texts[0].count(";") + 1 - len(widths)
-    widths += [l] * label_blocks
-    if label_blocks not in (1, 2) or any(
-        [b.count(",") + 1 for b in text.split(";")] != widths for text in texts
-    ):
-        return None
-    M = _loadtxt((text.replace(";", ",") for text in texts), (len(texts), sum(widths)))
-    if M is None:
-        return None
-    X = np.ascontiguousarray(M[:, :d]) if features else None
-    labels = M[:, d:] if features else M
-    return X, labels[:, :l], labels[:, -l:]  # the last block is T, or Y again in a plain file
 
 
 def _check_format(format: str) -> None:
@@ -387,37 +347,44 @@ def _check_format(format: str) -> None:
 
 def _read(path, format: str, features: bool = True):
     """The rows of the dataset file ``path`` (``read_table``'s) and their
-    ``(X, Y, T)``, parsed in one C-level pass when the rows are dense and
-    clean, otherwise by one loop over the rows, with one row parser per
-    format; either every row carries a ground-truth block or none does,
-    and a plain file gives ``T = Y``. The label values and sets get
+    ``(X, Y, T)``; either every row carries a ground-truth block or none
+    does, and a plain file gives ``T = Y``. A sparse file is read by one
+    loop over its rows, and mixed rows are judged after it. A dense row is
+    split at ``;`` into 2 or 3 blocks, and each block is one float table
+    for ``parse_float_rows``: the block count of every row is checked
+    first, then mixed rows, then the features, candidates and ground truth
+    of all rows, one table at a time. The label values and sets get
     ``Dataset``'s checks after the parse, naming the line of a bad row.
     Without ``features`` only the label blocks are read and X is None."""
     _check_format(format)
     (n, d, l), rows = read_table(path, "dataset", "n d l")
-    parsed = _dense_pass(rows, d, l, features) if format == DENSE_FORMAT else None
-    if parsed is None:
-        parse_row = _sparse_row if format == SPARSE_FORMAT else _dense_row
-        label_type = np.int8 if format == SPARSE_FORMAT else np.float64  # dense values as read
+    lines = [lineno for lineno, _ in rows]
+    if format == SPARSE_FORMAT:
         try:
             X = np.zeros((n, d if features else 0), dtype=np.float64)
-            Y = np.zeros((n, l), dtype=label_type)
-            T = np.zeros((n, l), dtype=label_type)
+            Y = np.zeros((n, l), dtype=np.int8)
+            T = np.zeros((n, l), dtype=np.int8)
         except (MemoryError, ValueError):
             raise ParseError(f"cannot hold a dataset of n={n} d={d} l={l}", line=1) from None
-        for i, (lineno, line) in enumerate(rows):
-            with_truth = parse_row(line, lineno, X[i], Y[i], T[i], features)
-            if i == 0:
-                has_truth = with_truth
-            elif with_truth != has_truth:
-                raise ParseError(
-                    "mixed rows: some carry a ground-truth block and some do not", line=lineno
-                )
-        parsed = (X if features else None), Y, (T if has_truth else Y)
-    X, Y, T = parsed
-    lines = [lineno for lineno, _ in rows]
+        truth = [_sparse_row(line if features else line.split(None, 1)[0], lineno, X[i], Y[i], T[i])
+                 for i, (lineno, line) in enumerate(rows)]
+    else:
+        blocks = [line.split(";") for _, line in rows]
+        for lineno, b in zip(lines, blocks):
+            if len(b) not in (2, 3):
+                raise ParseError(f"expected 2 or 3 ';'-separated blocks, got {len(b)}", line=lineno)
+        truth = [len(b) == 3 for b in blocks]
+    if truth.count(truth[0]) != n:
+        raise ParseError("mixed rows: some carry a ground-truth block and some do not",
+                         line=lines[truth.index(not truth[0])])
+    if format == DENSE_FORMAT:
+        def table(k, width, what):
+            return parse_float_rows([(ln, b[k]) for ln, b in zip(lines, blocks)], width, what)
+        X = table(0, d, "feature") if features else None
+        Y = table(1, l, "candidate label")
+        T = table(2, l, "ground-truth label") if truth[0] else None
     Y = _as_binary(Y, "Y", lines)
-    return rows, X, Y, _check_label_sets(Y, T, lines)
+    return rows, X if features else None, Y, _check_label_sets(Y, T if truth[0] else Y, lines)
 
 
 def load(path, format: str = SPARSE_FORMAT) -> Dataset:
@@ -426,9 +393,8 @@ def load(path, format: str = SPARSE_FORMAT) -> Dataset:
     Plain files (single label block) come back in the noise-free state:
     ``Ytruth`` holds the parsed labels and ``Y`` equals it. Files with a
     second label block populate ``Y`` from the candidates and ``Ytruth``
-    from the truth block; every row must then carry one. A dense file is
-    parsed in one C-level pass; the row loop runs when that pass cannot
-    take every row as it is, so a bad row fails as it does there.
+    from the truth block; every row must then carry one. Each block of a
+    dense file is one float table for ``parse_float_rows``.
     """
     return Dataset(*_read(path, format)[1:])
 

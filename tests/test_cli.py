@@ -305,7 +305,8 @@ def test_inject_noise_round_trips_random_data(tmp_path, capsys):
 
 # Bad inputs with the exit code and stderr line that reading the whole file
 # with data.load gives. No allocator grants BIG labels, so the "size" cases
-# touch no memory on any host.
+# touch no memory on any host: the sparse one fails at the header, the dense
+# one at the width of its first row.
 BIG = 10**17
 BAD_DATASETS = {
     ("dense-csv", "header"): ("#2 2\n0.1,0.2;1,0\n0.3,0.4;0,1\n",
@@ -324,7 +325,7 @@ BAD_DATASETS = {
                                   "error: line 4: instance carries all 2 labels; at most l-1 "
                                   "are allowed"),
     ("dense-csv", "size"): (f"#2 2 {BIG}\n0.1,0.2;1,0\n0.3,0.4;0,1\n",
-                            f"error: line 1: cannot hold a dataset of n=2 d=2 l={BIG}"),
+                            f"error: line 2: expected {BIG} candidate label values, got 2"),
     ("sparse-multilabel", "header"): ("#2 2 2 2\n0 0:0.5\n1 1:0.5\n",
                                       "error: line 1: expected header '#n d l'"),
     ("sparse-multilabel", "feature"): ("#2 2 2\n0 0:0.5\n1 1:x\n",

@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -171,7 +172,9 @@ class TestLoad:
         ("#2 3 4\n|0 0:1.0\n1|1 1:x\n", "line 3: bad feature pair '1:x'"),
         ("#2 3 4\n0 0:1.0\n|1 1:1.0\n",
          "line 3: mixed rows: some carry a ground-truth block and some do not"),
-    ], ids=["bad-feature", "mixed"])
+        # mixed rows are judged after every row parsed too
+        ("#3 3 4\n|0 0:1.0\n1 1:1.0\n2 2:x\n", "line 4: bad feature pair '2:x'"),
+    ], ids=["bad-feature", "mixed", "bad-feature-after-mixed"])
     def test_sparse_syntax_errors_before_label_sets(self, tmp_path, text, message):
         # line 2's empty candidate set is judged only after every row parsed
         with pytest.raises(ParseError) as exc:
@@ -205,20 +208,24 @@ class TestLoad:
 
     # no allocator grants these sizes, so the test touches no memory on any host
     @pytest.mark.parametrize("big", [10**17, 10**19])
-    @pytest.mark.parametrize("fmt, dims, row", [
-        ("sparse-multilabel", "1 {big} 2", "0 0:1.0"),
-        ("dense-csv", "1 {big} 2", "0.1;1,0"),
-        ("sparse-multilabel", "1 2 {big}", "0 0:1.0"),
-        ("dense-csv", "1 2 {big}", "0.1,0.2;1,0"),
+    @pytest.mark.parametrize("fmt, dims, row, message", [
+        ("sparse-multilabel", "1 {big} 2", "0 0:1.0",
+         "line 1: cannot hold a dataset of n=1 d={big} l=2"),
+        ("dense-csv", "1 {big} 2", "0.1;1,0", "line 2: expected {big} feature values, got 1"),
+        ("sparse-multilabel", "1 2 {big}", "0 0:1.0",
+         "line 1: cannot hold a dataset of n=1 d=2 l={big}"),
+        ("dense-csv", "1 2 {big}", "0.1,0.2;1,0",
+         "line 2: expected {big} candidate label values, got 2"),
     ], ids=["sparse-d", "dense-d", "sparse-l", "dense-l"])
-    def test_header_too_large_to_hold(self, tmp_path, big, fmt, dims, row):
+    def test_header_too_large_to_hold(self, tmp_path, big, fmt, dims, row, message):
+        # a sparse file is refused at its header, a dense one at the width of a row
         n, d, l = dims.format(big=big).split()
         p = write(tmp_path, f"#{n} {d} {l}\n{row}\n")
         # load_truth reads no features, so only a large l stops it
         for reader in [load] + ([data.load_truth] if l != "2" else []):
             with pytest.raises(ParseError) as exc:
                 reader(p, fmt)
-            assert str(exc.value) == f"line 1: cannot hold a dataset of n={n} d={d} l={l}"
+            assert str(exc.value) == message.format(big=big)
 
 
 class TestRoundTrip:
@@ -518,6 +525,30 @@ class TestCLevelParse:
             M = reader(p)
         assert M.tolist() == [[0.1, -2.5e-08, -0.0], [1e300, 0.1 + 0.2, 5.0]]
 
+    @pytest.mark.parametrize("k, what", [
+        (0, "feature"), (1, "candidate label"), (2, "ground-truth label"),
+    ])
+    def test_float_only_value_reparses_its_block_only(self, tmp_path, k, what):
+        # a dense file is three float tables: a value only float() reads sends
+        # its own block through the row loop, row by row, and no other block
+        rows = [["0.5,-2.5", "1,0", "1,0"], ["0.25,3.0", "0,1", "0,1"]]
+        rows[0][k] = "\uff11" + rows[0][k][1:]
+        p = write(tmp_path, "#2 2 2\n\n" + "".join(";".join(r) + "\n" for r in rows))
+        with mock.patch.object(data, "parse_float_row", wraps=data.parse_float_row) as spy:
+            ds = load(p, "dense-csv")
+        assert [(c.args[2], c.args[3]) for c in spy.call_args_list] == [(3, what), (4, what)]
+        for j, M in enumerate([ds.X, ds.Y, ds.Ytruth]):
+            assert M.tolist() == [[float(t) for t in r[j].split(",")] for r in rows]
+
+    def test_empty_block_on_every_row(self, tmp_path):
+        # np.loadtxt would skip every empty line and warn; the row loop names the first
+        p = write(tmp_path, "#2 1 2\n;1,0\n;0,1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError) as exc:
+                load(p, "dense-csv")
+        assert str(exc.value) == "line 2: bad feature value: could not convert string to float: ''"
+
     @pytest.mark.parametrize("fmt", ["dense-csv", "sparse-multilabel"])
     def test_noisy_round_trip_skips_row_loop(self, tmp_path, fmt):
         ds = inject_noise(random_dataset(n=30, d=7, l=5, seed=4), NoiseConfig(a=100, seed=4))
@@ -530,10 +561,19 @@ class TestCLevelParse:
         assert back.Y.dtype == back.Ytruth.dtype == np.int8
 
     @pytest.mark.parametrize("text, message", [
-        # the first row with a syntax error wins, whatever is wrong with the
-        # rows after it; then the first bad label value, then label set
+        # the block count of every row comes first, then mixed rows, then the
+        # feature blocks of all rows, the candidate blocks and the truth
+        # blocks; then the first bad label value, then label set
+        ("#3 2 2\n0.1,x;1,0\n0.3,0.4;0,1;0,1\n0.5,0.6;1,0;1,0;1,0\n",
+         "line 4: expected 2 or 3 ';'-separated blocks, got 4"),
         ("#2 2 2\n\n0.1,x;1,0\n0.3,0.4;0,1;0,1\n",
+         "line 4: mixed rows: some carry a ground-truth block and some do not"),
+        ("#2 2 2\n0.1,0.2;1,x\n0.3,x;0,1\n",
          "line 3: bad feature value: could not convert string to float: 'x'"),
+        ("#2 2 2\n0.1,0.2;1,0;x,0\n0.3,0.4;0,y;0,1\n",
+         "line 3: bad candidate label value: could not convert string to float: 'y'"),
+        ("#2 2 2\n0.1,0.2;0.5,0;1,0\n0.3,0.4;0,1;0,z\n",
+         "line 3: bad ground-truth label value: could not convert string to float: 'z'"),
         ("#2 2 2\n0.1,0.2;0.5,0\n0.3,x;0,1\n",
          "line 3: bad feature value: could not convert string to float: 'x'"),
         ("#2 2 2\n0.1,0.2;0,0\n0.3,0.4;0.5,1\n", "line 3: Y must be binary (0/1 entries), got 0.5"),
@@ -550,8 +590,10 @@ class TestCLevelParse:
         ("#2 2 2\n\n0.1,0.2;1,0\n0.3;0,1\n", "line 4: expected 2 feature values, got 1"),
         # as many values as a good row, in the wrong blocks
         ("#2 2 2\n\n0.1,0.2,1;0\n0.3,0.4;0,1\n", "line 3: expected 2 feature values, got 3"),
+        ("#2 2 2\n\n0.1,0.2;1,0;1,0\n0.3,0.4;0,1,0;1\n",
+         "line 4: expected 2 candidate label values, got 3"),
         ("#2 2 2\n\n0.1,0.2;1,0;1,0\n0.3,0.4,0,1;0,1\n",
-         "line 4: expected 2 feature values, got 4"),
+         "line 4: mixed rows: some carry a ground-truth block and some do not"),
         ("#2 2 2\n\n0.1,0.2;1,0\n0.3,0.4;0,1;0,1;0,1\n",
          "line 4: expected 2 or 3 ';'-separated blocks, got 4"),
         ("#2 2 2\n\n0.1,0.2;1,1\n0.3,0.4;0,1\n",
@@ -644,6 +686,41 @@ class TestLoadTruth:
             data.load_truth(p, "dense-csv")
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.booleans(), st.lists(st.tuples(
+        st.sampled_from(["none", "blocks", "mixed", "token", "non-binary", "label-set"]),
+        st.integers(0, 2), st.integers(0, 3)), min_size=2, max_size=4))
+    def test_dense_label_faults_across_rows_match_load(self, tmp_path, with_truth, faults):
+        # each row's label part carries one fault or none, so faults in several
+        # rows meet in the block-major order of the dense reader
+        lines = []
+        for i, (fault, j, pick) in enumerate(faults):
+            cand, truth = [0, 0, 0], [0, 0, 0]
+            cand[j] = cand[(j + 1) % 3] = truth[j] = 1
+            blocks = [cand, truth] if with_truth else [cand]
+            if fault == "blocks":
+                blocks = [] if pick % 2 else [cand, truth, cand]
+            elif fault == "mixed":
+                blocks = [cand] if with_truth else [cand, truth]
+            elif fault in ("token", "non-binary"):
+                blocks[pick % len(blocks)][j] = "x" if fault == "token" else "0.5"
+            elif fault == "label-set":  # empty or all candidates, empty or uncovered truth
+                if pick < 2 or not with_truth:
+                    cand[:] = [pick % 2] * 3
+                else:
+                    truth[:] = [pick % 2] * 3
+            lines.append(";".join([f"0.{i},-{i}.5"] + [",".join(map(str, b)) for b in blocks]))
+        p = write(tmp_path, f"#{len(lines)} 2 3\n" + "\n".join(lines) + "\n")
+        try:
+            want = load(p, "dense-csv").Ytruth
+        except DataError as exc:
+            with pytest.raises(DataError) as got:
+                data.load_truth(p, "dense-csv")
+            assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        else:
+            assert data.load_truth(p, "dense-csv").tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("text", [
         "#2 3 3\n0|0 0:0.5\n1 1:0.5\n",
