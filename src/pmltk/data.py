@@ -11,25 +11,27 @@ start with a ``#n d l`` header line:
 * ``dense-csv``: ``x1,...,xd;y1,...,yl`` per line with binary labels,
   optionally followed by a third ``;t1,...,tl`` ground-truth block.
 
-Every dataset file is read by one ``_read``: ``read_table`` followed by
-one parse of its rows, which checks syntax only; either every row carries
-a ground-truth block or none does. A sparse file goes through one loop
-over its rows. A dense file is three float tables: its rows are split at
-``;`` and the feature, candidate and ground-truth blocks are each parsed
-by ``parse_float_rows``. A bad row, label value or label set raises an
-error naming its line of the file. ``load`` builds a ``Dataset`` from the
-parse, ``load_truth`` runs it on the label blocks alone, and
-``_write_dataset`` lays out every row ``save`` and ``inject_noise_file``
-write, the latter with each row's own feature text. ``_as_binary`` is the
-one 0/1 check on label matrices: datasets, the dataset and prediction
-readers and the metrics all go through it, and ``_check_label_sets``
-holds the rules on label sets that ``Dataset`` and ``_read`` share.
+Every dataset file is read by one ``_read``: ``read_table``, then one
+parse of its rows that checks syntax only and returns each row's feature
+text with the arrays; either every row carries a ground-truth block or
+none does. A sparse file goes through one loop over its rows. A dense file
+is three float tables: ``_blocks``, the one place a row is split at ``;``,
+cuts its rows into blocks, and the feature, candidate and ground-truth
+blocks are each parsed by ``parse_float_rows``. A bad row, label value or
+label set raises an error naming its line of the file. ``load`` builds a
+``Dataset`` from the parse, ``load_truth`` runs it on the label blocks
+alone, and ``_write_dataset`` lays out every row ``save`` and
+``inject_noise_file`` write, the latter with ``_read``'s feature texts.
+``_as_binary`` is the one 0/1 check on label matrices: datasets, the
+dataset and prediction readers and the metrics all go through it, and
+``_check_label_sets`` holds the rules on label sets that ``Dataset`` and
+``_read`` share.
 
 Floats are serialized with ``repr`` so save followed by load restores
 every matrix bit-exactly. The enrichment, model and prediction files
 share the ``#header`` + rows layout: ``read_table`` reads all of them,
-``parse_float_rows`` is the one float-table parse of datasets,
-enrichments and models (one C-level pass, with the row loop
+``parse_float_rows`` parses every float table of datasets, enrichments,
+models and predictions (one C-level pass, with the row loop
 ``parse_float_row`` as the error path), and ``write_lines`` writes every
 file pmltk produces, one line at a time.
 
@@ -267,10 +269,10 @@ def _loadtxt(texts, shape):
 
 def parse_float_rows(rows, width, what):
     """The ``(lineno, text)`` rows of ``width`` comma-separated floats as a
-    matrix: one float table of a dense dataset, an enrichment or a model,
-    parsed in one C-level pass. When that fails the rows go through
-    ``parse_float_row`` one by one, which raises the first bad row's
-    ``ParseError`` or reads the values only ``float()`` accepts."""
+    matrix: one float table of a dense dataset, an enrichment, a model or
+    predictions, parsed in one C-level pass. When that fails the rows go
+    through ``parse_float_row`` one by one, which raises the first bad
+    row's ``ParseError`` or reads the values only ``float()`` accepts."""
     texts = [text for _, text in rows]
     # np.loadtxt skips empty lines, and warns when all of them are empty
     M = _loadtxt(texts, (len(rows), width)) if all(texts) else None
@@ -320,15 +322,14 @@ def _parse_label_list(text: str, l: int, lineno: int) -> list[int]:
     return out
 
 
-def _sparse_row(line, lineno, x, y, t) -> bool:
-    """Fill one instance's rows from ``L_cand[|L_truth] f:v ...``; returns
-    whether the line carries a truth block."""
-    labels, *rest = line.split(None, 1)
+def _sparse_row(labels, features, lineno, x, y, t) -> bool:
+    """Fill one instance's rows from its label token ``L_cand[|L_truth]`` and
+    feature text ``f:v ...``; returns whether the token has a truth block."""
     cand_txt, with_truth, truth_txt = labels.partition("|")
     y[_parse_label_list(cand_txt, len(y), lineno)] = 1
     if with_truth:
         t[_parse_label_list(truth_txt, len(t), lineno)] = 1
-    for pair in rest[0].split() if rest else ():
+    for pair in features.split():
         f, _, v = pair.partition(":")
         try:
             fi, fv = int(f), float(v)  # a pair without ':' leaves v empty
@@ -345,17 +346,28 @@ def _check_format(format: str) -> None:
         raise ConfigError(f"unknown dataset format {format!r}; expected one of {FORMATS}")
 
 
+def _blocks(rows, counts):
+    """Each ``(lineno, text)`` row's ``;``-separated blocks, split here only;
+    a row whose block count is not in ``counts`` raises ``ParseError``."""
+    blocks = [text.split(";") for _, text in rows]
+    for (lineno, _), b in zip(rows, blocks):
+        if len(b) not in counts:
+            raise ParseError(f"expected {' or '.join(map(str, counts))} ';'-separated blocks, "
+                             f"got {len(b)}", line=lineno)
+    return blocks
+
+
 def _read(path, format: str, features: bool = True):
-    """The rows of the dataset file ``path`` (``read_table``'s) and their
-    ``(X, Y, T)``; either every row carries a ground-truth block or none
-    does, and a plain file gives ``T = Y``. A sparse file is read by one
-    loop over its rows, and mixed rows are judged after it. A dense row is
-    split at ``;`` into 2 or 3 blocks, and each block is one float table
-    for ``parse_float_rows``: the block count of every row is checked
-    first, then mixed rows, then the features, candidates and ground truth
-    of all rows, one table at a time. The label values and sets get
-    ``Dataset``'s checks after the parse, naming the line of a bad row.
-    Without ``features`` only the label blocks are read and X is None."""
+    """The feature text of each row of the dataset file ``path``, as read (a
+    sparse row's text after its label token, a dense row's first block),
+    and the rows' ``(X, Y, T)``. Either every row carries a ground-truth
+    block or none does; a plain file gives ``T = Y``. A sparse file is one
+    loop over its rows. A dense row is split by ``_blocks`` into 2 or 3
+    blocks, each one float table for ``parse_float_rows``: every row's
+    block count comes first, then mixed rows (judged after the loop for a
+    sparse file), then the features, candidates and ground truth of all
+    rows. Label values and sets get ``Dataset``'s checks last, naming the
+    line of a bad row. Without ``features`` X is None and is not parsed."""
     _check_format(format)
     (n, d, l), rows = read_table(path, "dataset", "n d l")
     lines = [lineno for lineno, _ in rows]
@@ -366,25 +378,24 @@ def _read(path, format: str, features: bool = True):
             T = np.zeros((n, l), dtype=np.int8)
         except (MemoryError, ValueError):
             raise ParseError(f"cannot hold a dataset of n={n} d={d} l={l}", line=1) from None
-        truth = [_sparse_row(line if features else line.split(None, 1)[0], lineno, X[i], Y[i], T[i])
-                 for i, (lineno, line) in enumerate(rows)]
+        heads = [line.split(None, 1) + [""] for _, line in rows]  # label token, features[, ""]
+        truth = [_sparse_row(h[0], h[1] if features else "", lineno, X[i], Y[i], T[i])
+                 for i, (lineno, h) in enumerate(zip(lines, heads))]
+        texts = [h[1] for h in heads]
     else:
-        blocks = [line.split(";") for _, line in rows]
-        for lineno, b in zip(lines, blocks):
-            if len(b) not in (2, 3):
-                raise ParseError(f"expected 2 or 3 ';'-separated blocks, got {len(b)}", line=lineno)
+        blocks = _blocks(rows, (2, 3))
         truth = [len(b) == 3 for b in blocks]
+        texts = [b[0] for b in blocks]
     if truth.count(truth[0]) != n:
         raise ParseError("mixed rows: some carry a ground-truth block and some do not",
                          line=lines[truth.index(not truth[0])])
     if format == DENSE_FORMAT:
-        def table(k, width, what):
-            return parse_float_rows([(ln, b[k]) for ln, b in zip(lines, blocks)], width, what)
-        X = table(0, d, "feature") if features else None
-        Y = table(1, l, "candidate label")
-        T = table(2, l, "ground-truth label") if truth[0] else None
+        tables = [list(zip(lines, column)) for column in zip(*blocks)]
+        X = parse_float_rows(tables[0], d, "feature") if features else None
+        Y = parse_float_rows(tables[1], l, "candidate label")
+        T = parse_float_rows(tables[2], l, "ground-truth label") if truth[0] else None
     Y = _as_binary(Y, "Y", lines)
-    return rows, X if features else None, Y, _check_label_sets(Y, T if truth[0] else Y, lines)
+    return texts, X if features else None, Y, _check_label_sets(Y, T if truth[0] else Y, lines)
 
 
 def load(path, format: str = SPARSE_FORMAT) -> Dataset:
@@ -440,19 +451,14 @@ def inject_noise_file(path, out, cfg: NoiseConfig, format: str = SPARSE_FORMAT) 
     """``inject_noise`` on the dataset file ``path``, written to ``out``.
 
     The input gets every check of ``load``. Each output row is the input
-    row's own feature text, kept as read (in the dense format the text
-    before the first ``;``, in the sparse one the text after the label
-    token), with the new label blocks as ``save`` writes them. So ``out``
-    loads back to the returned dataset, while its float text is the
-    input's, not ``repr``'s. Returns the noisy dataset.
+    row's own feature text as ``_read`` returns it, with the new label
+    blocks as ``save`` writes them. So ``out`` loads back to the returned
+    dataset, while its float text is the input's, not ``repr``'s. Returns
+    the noisy dataset.
     """
-    rows, *parsed = _read(path, format)
+    texts, *parsed = _read(path, format)
     noisy = inject_noise(Dataset(*parsed), cfg)
-    if format == SPARSE_FORMAT:
-        features = ("".join(line.split(None, 1)[1:]) for _, line in rows)
-    else:
-        features = (line.partition(";")[0] for _, line in rows)
-    _write_dataset(out, noisy, format, features)
+    _write_dataset(out, noisy, format, texts)
     return noisy
 
 

@@ -51,7 +51,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._blas import scipy_extension, single_threaded
-from .data import _as_binary, csv_rows, parse_float_row, parse_float_rows, read_table, write_lines
+from .data import _as_binary, _blocks, csv_rows, parse_float_rows, read_table, write_lines
 from .errors import ConfigError, NumericError, ParseError, ShapeError
 
 _log = logging.getLogger(__name__)
@@ -441,8 +441,8 @@ def load_model(path) -> Model:
             f"got rows={len(rows)} features={m} d={d}", line=1
         )
     mean, scale = parse_float_rows(rows[:2], m, "transform")
-    if not (scale > 0).all():
-        raise ParseError("transform scale values must be positive", line=rows[1][0])
+    if not (np.isfinite(scale) & (scale > 0)).all():
+        raise ParseError("transform scale values must be finite and positive", line=rows[1][0])
     return Model(parse_float_rows(rows[2:], l, "W"), lambda1, lambda2,
                  FeatureTransform(mean, scale, d > m))
 
@@ -458,23 +458,12 @@ def save_predictions(scores, labels, path) -> None:
 
 
 def load_predictions(path):
-    """Read a ``save_predictions`` file row by row, checking the separator,
-    then the scores (``parse_float_row``), the label count and each label
-    (``int()``): the first bad row's first error is raised. ``_as_binary``
-    then checks that every label is 0 or 1."""
+    """Read a ``save_predictions`` file as two float tables, as a dense
+    dataset is read: every row's block count (``_blocks``) comes first,
+    then the scores and the labels of all rows (``parse_float_rows``),
+    then ``_as_binary``'s check that every label is 0 or 1."""
     (_, l), rows = read_table(path, "predictions", "m l")
-    scores, labels = [], []
-    for lineno, line in rows:
-        sblock, sep, lblock = line.partition(";")
-        if not sep:
-            raise ParseError("expected 'scores;labels'", line=lineno)
-        scores.append(parse_float_row(sblock, l, lineno, "score"))
-        ltoks = lblock.split(",")
-        if len(ltoks) != l:
-            raise ParseError(f"expected {l} labels, got {len(ltoks)}", line=lineno)
-        try:
-            labels.append([int(t) for t in ltoks])
-        except ValueError as exc:
-            raise ParseError(f"bad label value: {exc}", line=lineno) from None
-    return np.array(scores), _as_binary(np.array(labels, dtype=object), "prediction labels",
-                                        [n for n, _ in rows])
+    lines = [lineno for lineno, _ in rows]
+    scores, labels = (parse_float_rows(list(zip(lines, column)), l, what)
+                      for column, what in zip(zip(*_blocks(rows, (2,))), ("score", "label")))
+    return scores, _as_binary(labels, "prediction labels", lines)

@@ -2,6 +2,7 @@
 paths that the other tests do not reach."""
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -17,8 +18,9 @@ from pmltk import Dataset, EnrichmentMatrix, build_graph, load
 from pmltk.cli import cli, main
 from pmltk.data import save
 from pmltk.enrichment import save_enrichment
+from pmltk.errors import ParseError
 from pmltk.metrics import aggregate, evaluate, report_to_json, reports_to_csv
-from pmltk.trainer import load_predictions
+from pmltk.trainer import load_model, load_predictions
 
 REQUIRED = "required"
 
@@ -161,6 +163,53 @@ def test_predict_non_finite_scores_exit_3(tmp_path, weights):
     assert not out.exists()
 
 
+# A version-2 model over two features with ``value`` in its transform's mean or
+# scale row (line 3). A scale is checked when the model loads, since an
+# infinite one would score its column as 0; a mean where it is used, as a weight is.
+@pytest.mark.parametrize("row, value, code, message", [
+    *(("scale", v, 2, "line 3: transform scale values must be finite and positive")
+      for v in ["inf", "0", "-1", "nan"]),
+    *(("mean", v, 3, "non-finite test features") for v in ["inf", "nan"]),
+])
+def test_bad_transform_value(tmp_path, capsys, row, value, code, message):
+    model, dataset, out = tmp_path / "model.txt", tmp_path / "test.sml", tmp_path / "p.csv"
+    mean, scale = (f"{value},0.0", "1.0,1.0") if row == "mean" else ("0.5,0.5", f"{value},1.0")
+    model.write_text(f"#4 2 2 2 1.0 10.0\n{mean}\n{scale}\n0.1,0.2\n0.3,0.4\n")
+    save(Dataset(np.array([[1.0, 2.0], [3.0, 4.0]]), np.eye(2, dtype=np.int8)), dataset,
+         "sparse-multilabel")
+    if code == 2:
+        with pytest.raises(ParseError) as exc:
+            load_model(model)
+        assert exc.value.line == 3
+    assert main(["predict", str(model), str(dataset), "--out", str(out)]) == code
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("Usage: pmltk ")
+
+
+def test_interrupt_exits_1(toy_file, capsys, monkeypatch):
+    def interrupt(cfg):
+        raise KeyboardInterrupt
+
+    handlers = list(logging.getLogger("pmltk").handlers)
+    monkeypatch.setattr(pmltk.pipeline, "run_splits", interrupt)
+    assert main(["benchmark", str(toy_file)]) == 1
+    assert capsys.readouterr().out == ""
+    assert logging.getLogger("pmltk").handlers == handlers
+
+
+def test_console_script_is_main():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["pmltk"]
+    module, _, name = target.partition(":")
+    assert getattr(__import__(module, fromlist=[name]), name) is main
+
+
 def test_help_shows_defaults(capsys):
     assert main(["train", "--help"]) == 0
     text = " ".join(capsys.readouterr().out.split())
@@ -224,6 +273,19 @@ def test_overflowing_features_exit_3(tmp_path, capsys, route, line):
     assert code == 3
     [err] = capsys.readouterr().err.splitlines()
     assert err.startswith(line)
+    assert not (tmp_path / "model.txt").exists()
+
+
+def test_huge_enrichment_exits_3(tmp_path, capsys):
+    # finite values whose objective overflows at the start of the fit
+    ds = clustered_dataset(n=20, d=4, l=4, groups=3, seed=8)
+    data_file, yhat = tmp_path / "data.sml", tmp_path / "yhat.csv"
+    save(ds, data_file, "sparse-multilabel")
+    save_enrichment(EnrichmentMatrix(np.where(ds.Y == 1, 1.0, -1e200)), yhat)
+    assert main(["train", str(data_file), "--enrichment", str(yhat), "--lambda2", "10",
+                 "--out", str(tmp_path / "model.txt")]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: training stage: objective is not finite"]
     assert not (tmp_path / "model.txt").exists()
 
 
@@ -368,7 +430,7 @@ BAD_TABLES = {
     "prediction-label": (["evaluate", "{path}", "{data}"],
                          "#2 2\n0.1,0.2;1,0\n0.3,0.4;0,99999999999999999999\n",
                          "error: line 3: prediction labels must be binary (0/1 entries), "
-                         "got 99999999999999999999"),
+                         "got 1e+20"),
 }
 
 

@@ -396,7 +396,7 @@ class TestTextFiles:
         ("#2 2\n\n0.1,0.2;1,0\n0.3,0.4;1,0,1\n", ParseError),
         ("#2 2\n\n0.1,0.2;1,0\n0.3,0.4;2,0\n", ValidationError),
         ("#2 2\n\n0.1,0.2;1,0\n0.3,0.4;0,-1\n", ValidationError),
-        ("#2 2\n\n0.1,0.2;1,0\n0.3,0.4;1.5,0\n", ParseError),
+        ("#2 2\n\n0.1,0.2;1,0\n0.3,0.4;1.5,0\n", ValidationError),
     ], ids=["no-separator", "too-few-labels", "too-many-labels", "label-2", "label-minus-1",
             "label-1.5"])
     def test_bad_prediction_row_names_file_line(self, tmp_path, text, error):
@@ -404,6 +404,12 @@ class TestTextFiles:
             load_predictions(write(tmp_path, text))
         assert type(exc.value) is error
         assert str(exc.value).startswith("line 4: ")
+
+    @pytest.mark.parametrize("one", ["1", "1.0", "1e0", "+1"])
+    def test_prediction_label_is_a_float(self, tmp_path, one):
+        # the 0/1 rule of a dense dataset's label blocks: any float text of 0 or 1
+        _, labels = load_predictions(write(tmp_path, f"#2 2\n0.1,0.2;{one},0\n0.3,0.4;-0.0,{one}\n"))
+        assert labels.dtype == np.int8 and labels.tolist() == [[1, 0], [0, 1]]
 
     def test_unreadable_file_names_kind_and_path(self, tmp_path):
         p = tmp_path / "model.txt"
@@ -516,8 +522,7 @@ class TestCLevelParse:
         M = reader(write(tmp_path, text(["1_0, 1.5,\uff11", "-0.25,2_5.0_1,\uff12\uff10"], 3)))
         assert M.tolist() == [[10.0, 1.5, 1.0], [-0.25, 25.01, 20.0]]
 
-    # a predictions file is always read by its row loop
-    @pytest.mark.parametrize("kind", sorted(set(FLOAT_TABLES) - {"predictions"}))
+    @pytest.mark.parametrize("kind", sorted(FLOAT_TABLES))
     def test_clean_file_skips_row_loop(self, tmp_path, kind):
         reader, text = FLOAT_TABLES[kind]
         p = write(tmp_path, text(["0.1,-2.5e-08,-0.0", "1e+300,0.30000000000000004,5"], 3))
@@ -607,19 +612,30 @@ class TestCLevelParse:
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("text, message", [
-        # checked row by row: the separator, then the scores, then the labels
+        # two float tables: the block count of every row comes first, then
+        # the score blocks of all rows, then the label blocks, then the
+        # first label that is not 0 or 1
         ("#2 2\n\n0.1,x;1,0,1\n0.3,0.4;0\n",
          "line 3: bad score value: could not convert string to float: 'x'"),
-        ("#2 2\n\n0.1,0.2;1,0,1\n0.3,x;0,1\n", "line 3: expected 2 labels, got 3"),
-        ("#2 2\n\n0.1,0.2,0.3\n0.3,x;0,1\n", "line 3: expected 'scores;labels'"),
+        ("#2 2\n\n0.1,0.2;1,0,1\n0.3,x;0,1\n",
+         "line 4: bad score value: could not convert string to float: 'x'"),
+        ("#2 2\n\n0.1,0.2,0.3\n0.3,x;0,1\n", "line 3: expected 2 ';'-separated blocks, got 1"),
         ("#2 2\n\n0.1,0.2;1,x\n0.3,x;0,1\n",
-         "line 3: bad label value: invalid literal for int() with base 10: 'x'"),
+         "line 4: bad score value: could not convert string to float: 'x'"),
         ("#2 2\n\n0.1,0.2;1,0\n0.3,x;0,x\n",
          "line 4: bad score value: could not convert string to float: 'x'"),
         ("#2 2\n\n;1,0\n0.3,0.4;0,1\n", "line 3: expected 2 score values, got 1"),
+        # one case per step of that order
+        ("#2 2\n\n0.1,x;1,0\n0.3,0.4;1;1\n", "line 4: expected 2 ';'-separated blocks, got 3"),
+        ("#2 2\n\n0.1,0.2;1,x\n0.3,0.4,0.5;0,1\n", "line 4: expected 2 score values, got 3"),
+        ("#2 2\n\n0.1,0.2;2,0\n0.3,0.4;0,x\n",
+         "line 4: bad label value: could not convert string to float: 'x'"),
+        ("#2 2\n\n0.1,0.2;1,0\n0.3,0.4;0,1,0\n", "line 4: expected 2 label values, got 3"),
+        ("#2 2\n\n0.1,0.2;1,2\n0.3,0.4;0.5,1\n",
+         "line 3: prediction labels must be binary (0/1 entries), got 2.0"),
     ])
     def test_prediction_error_order(self, tmp_path, text, message):
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(DataError) as exc:
             load_predictions(write(tmp_path, text))
         assert str(exc.value) == message
 
@@ -639,11 +655,12 @@ class TestCLevelParse:
                                        "9223372036854775808", "10000000000000000000",
                                        "18446744073709551615"])
     def test_prediction_label_beyond_int64(self, tmp_path, label):
+        # a label is read as a float, as in a dense dataset, and reported as one
         p = write(tmp_path, f"#2 2\n0.1,0.2;1,0\n\n0.3,0.4;0,{label}\n")
         with pytest.raises(ValidationError) as exc:
             load_predictions(p)
         assert str(exc.value) == (
-            f"line 4: prediction labels must be binary (0/1 entries), got {label}")
+            f"line 4: prediction labels must be binary (0/1 entries), got {float(label)}")
 
 
 class TestLoadTruth:
@@ -810,7 +827,7 @@ class TestModelTransform:
          "line 1: a version-2 model needs d = features or features + 1 and rows = d + 2, "
          "got rows=4 features=2 d=3"),
         ("#5 2 3 2 1.0 10.0\n0.5,0.5\n1.0,0.0\n" + "0.1,0.2\n" * 3,
-         "line 3: transform scale values must be positive"),
+         "line 3: transform scale values must be finite and positive"),
         ("#5 2 3 2 1.0 10.0\n0.5,0.5\n1.0\n" + "0.1,0.2\n" * 3,
          "line 3: expected 2 transform values, got 1"),
         ("#5 2 3 1.0 10.0\n0.5,0.5\n1.0,1.0\n" + "0.1,0.2\n" * 3,

@@ -429,6 +429,47 @@ class TestFactorizationFailures:
         assert ("infs or NaNs" if case == "inf" else "not positive definite") in str(info.value)
 
 
+def svd_failing(compute_uv_only=False):
+    real = np.linalg.svd
+
+    def svd(M, *args, compute_uv=True, **kwargs):
+        if compute_uv or not compute_uv_only:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real(M, *args, compute_uv=compute_uv, **kwargs)
+    return svd
+
+
+class TestNumericFailures:
+    def test_objective_not_finite_at_start(self, monkeypatch):
+        # finite inputs whose first residual ||Yhat - C B||^2 overflows
+        ds = random_dataset(n=20, d=4, l=3, seed=11)
+        steps = []
+        monkeypatch.setattr(trainer, "_step", lambda *args: steps.append(args))
+        with pytest.raises(NumericError) as info:
+            fit(ds.X, np.where(ds.Y == 1, 1.0, -1e200), ds.Y, TrainerConfig())
+        assert str(info.value) == "objective is not finite"
+        assert steps == []
+
+    def test_nuclear_norm_svd_failure(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "svd", svd_failing())
+        state = trainer_state(np.zeros((4, 2)), C=np.zeros((4, 3)), B=np.eye(3),
+                              Theta=np.zeros((3, 3)), W=np.zeros((2, 3)))
+        with pytest.raises(NumericError) as info:
+            objective(state, np.zeros((4, 3)), TrainerConfig())
+        assert str(info.value) == "SVD failed in nuclear norm: SVD did not converge"
+
+    def test_thresholding_svd_failure_names_its_pass(self, monkeypatch):
+        # the nuclear norm's SVD (no U, V) still works; the thresholding's fails
+        monkeypatch.setattr(np.linalg, "svd", svd_failing(compute_uv_only=True))
+        state = trainer_state(np.zeros((4, 2)), C=np.ones((4, 3)), B=np.eye(3),
+                              Theta=np.zeros((3, 3)), W=np.zeros((2, 3)))
+        assert nuclear_norm(np.eye(3)) == 3.0
+        with pytest.raises(NumericError) as info:
+            update_b_admm(state, np.zeros((4, 3)), TrainerConfig())
+        assert str(info.value) == (
+            "ADMM pass 1/5: SVD failed in singular value thresholding: SVD did not converge")
+
+
 def fit_problem(n, d, l, seed):
     ds = random_dataset(n=n, d=d, l=l, seed=seed)
     return ds.X, signed_enrichment(ds.Y, np.random.default_rng(seed)), ds.Y
