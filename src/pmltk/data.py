@@ -23,9 +23,9 @@ label set raises an error naming its line of the file. ``load`` builds a
 alone, and ``_write_dataset`` lays out every row ``save`` and
 ``inject_noise_file`` write, the latter with ``_read``'s feature texts.
 ``_as_binary`` is the one 0/1 check on label matrices: datasets, the
-dataset and prediction readers and the metrics all go through it, and
-``_check_label_sets`` holds the rules on label sets that ``Dataset`` and
-``_read`` share.
+dataset readers, the prediction reader and writer and the metrics all go
+through it, and ``_check_label_sets`` holds the rules on label sets that
+``Dataset`` and ``_read`` share.
 
 Floats are serialized with ``repr`` so save followed by load restores
 every matrix bit-exactly. The enrichment, model and prediction files

@@ -24,6 +24,7 @@ from ._blas import scipy_extension, single_threaded
 from .data import Dataset, csv_rows, parse_float_rows, read_table, write_lines
 from .errors import ConfigError, ShapeError, ValidationError
 from .graph import WeightGraph
+from .trainer import _iterate
 
 #: Row spans at or below this trigger the degenerate normalization fallback.
 DEGENERATE_SPAN = 1e-12
@@ -125,29 +126,24 @@ def _propagate(VT: tuple, F) -> np.ndarray:
 def enrich(ds: Dataset, graph: WeightGraph, cfg: PropagationConfig) -> EnrichmentMatrix:
     """Run the propagation to a fixed point and sign the result.
 
-    Iterates propagate/normalize until the relative Frobenius change
-    ``||F_t - F_{t-1}|| / max(1, ||F_{t-1}||)`` drops below ``cfg.tol``
-    or ``cfg.max_iters`` is reached; stopping at the cap logs a warning
-    on the ``pmltk.enrichment`` logger. Deterministic: identical inputs
-    yield a bit-identical matrix.
+    ``trainer._iterate`` runs propagate/normalize until the relative
+    Frobenius change ``||F_t - F_{t-1}|| / max(1, ||F_{t-1}||)`` drops
+    below ``cfg.tol`` or ``cfg.max_iters`` is reached; stopping at the
+    cap logs a warning on the ``pmltk.enrichment`` logger.
+    Deterministic: identical inputs yield a bit-identical matrix.
     """
     if graph.n != ds.n:
         raise ShapeError(f"graph has {graph.n} nodes but dataset has {ds.n} instances")
     Y = ds.Y
     F0 = Y.astype(np.float64)
     VT = _transpose(graph)
-    F = F0
-    for _ in range(cfg.max_iters):
+
+    def step(F):
         F_next = normalize_step(cfg.alpha * _propagate(VT, F) + (1.0 - cfg.alpha) * F0, Y)
-        change = np.linalg.norm(F_next - F) / max(1.0, np.linalg.norm(F))
-        F = F_next
-        if change < cfg.tol:
-            break
-    else:
-        _log.warning(
-            "enrich stopped at max_iters=%d without meeting tol=%g; last relative change %.3g",
-            cfg.max_iters, cfg.tol, change,
-        )
+        return F_next, np.linalg.norm(F_next - F) / max(1.0, np.linalg.norm(F))
+
+    F = _iterate(step, F0, cfg.max_iters, cfg.tol, _log,
+                 "enrich stopped at max_iters=%d without meeting tol=%g")
     Yhat = np.where(Y == 1, F, F - 1.0)
     return EnrichmentMatrix(Yhat)
 

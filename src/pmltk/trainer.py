@@ -317,10 +317,17 @@ def _step(state: TrainerState, Yhat, outside, solver: RidgeSolver,
     return new
 
 
-def _relative_change(trace) -> float:
-    """The stop rule's measure: the last objective change relative to the
-    objective before it, floored at 1."""
-    return abs(trace[-1] - trace[-2]) / max(1.0, abs(trace[-2]))
+def _iterate(step, x, cap: int, tol: float, log: logging.Logger, what: str):
+    """The stop rule of both stages: run ``x, change = step(x)`` until
+    ``change < tol`` or ``cap`` steps have run, and return the last
+    iterate. Stopping at the cap logs ``what % (cap, tol)`` and the last
+    change as a warning on ``log``."""
+    for _ in range(cap):
+        x, change = step(x)
+        if change < tol:
+            return x
+    log.warning(what + "; last relative change %.3g", cap, tol, change)
+    return x
 
 
 @single_threaded
@@ -328,10 +335,10 @@ def fit(X, Yhat, Y, cfg: TrainerConfig = TrainerConfig()):
     """Fixed-point iteration of the (C, B, W) block updates.
 
     Initialization: C is the positive part of ``Yhat`` masked to the
-    candidate set, B starts at the identity, Theta and W at zero. The
-    loop runs ``_step`` until ``_relative_change`` of the objective
-    drops below ``cfg.outer_tol`` or ``cfg.outer_max`` is hit;
-    the latter logs a warning on the ``pmltk.trainer`` logger. The
+    candidate set, B starts at the identity, Theta and W at zero.
+    ``_iterate`` runs ``_step`` until the relative objective change
+    drops below ``cfg.outer_tol`` or ``cfg.outer_max`` is hit; the
+    latter logs a warning on the ``pmltk.trainer`` logger. The
     objective need not fall (``update_c``): the stop can fire at a
     turning point. ``W`` is formed from the ridge coefficients on return.
 
@@ -363,17 +370,14 @@ def fit(X, Yhat, Y, cfg: TrainerConfig = TrainerConfig()):
     outside = Y == 0
     solver = RidgeSolver(X, cfg.lambda2)
     trace = [objective(state, Yhat, cfg)]
-    for _ in range(cfg.outer_max):
+
+    def step(state):
         state = _step(state, Yhat, outside, solver, cfg)
         trace.append(objective(state, Yhat, cfg))
-        change = _relative_change(trace)
-        if change < cfg.outer_tol:
-            break
-    else:
-        _log.warning(
-            "fit stopped at outer_max=%d without meeting outer_tol=%g; last relative change %.3g",
-            cfg.outer_max, cfg.outer_tol, change,
-        )
+        return state, abs(trace[-1] - trace[-2]) / max(1.0, abs(trace[-2]))
+
+    state = _iterate(step, state, cfg.outer_max, cfg.outer_tol, _log,
+                     "fit stopped at outer_max=%d without meeting outer_tol=%g")
     state.W = solver.predictor(state.coef)
     return Model(state.W, cfg.lambda1, cfg.lambda2), state, trace
 
@@ -448,12 +452,12 @@ def load_model(path) -> Model:
 
 
 def save_predictions(scores, labels, path) -> None:
-    """Write per-instance ``scores;labels`` rows under a ``#m l`` header."""
+    """Write ``scores;labels`` rows under a ``#m l`` header; labels must be 0 or 1."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 2:
         raise ShapeError(f"scores{scores.shape} and labels{labels.shape} must match")
-    rows = map(";".join, zip(csv_rows(scores), csv_rows(labels.astype(np.int64))))
+    rows = map(";".join, zip(csv_rows(scores), csv_rows(_as_binary(labels, "prediction labels"))))
     write_lines(path, "predictions", [f"#{scores.shape[0]} {scores.shape[1]}", *rows])
 
 

@@ -9,7 +9,8 @@ from scipy.linalg import cho_factor, cho_solve
 from helpers import fix_label_rows, random_dataset, reference_fit, svt_objective, trainer_state
 
 from pmltk import trainer
-from pmltk import ConfigError, NumericError, ShapeError, TrainerConfig, fit, predict, prox_nuclear
+from pmltk import (ConfigError, NumericError, ShapeError, TrainerConfig, ValidationError, fit, predict,
+                   prox_nuclear)
 from pmltk.trainer import (
     Model,
     RidgeSolver,
@@ -626,12 +627,17 @@ class TestConfigValidation:
         (lambda: TrainerConfig(outer_tol=0), ConfigError, "outer_tol must be positive, got 0"),
         (lambda: save_predictions(np.zeros((2, 3)), np.zeros((2, 2)), "unwritten.txt"),
          ShapeError, "scores(2, 3) and labels(2, 2) must match"),
-    ], ids=["outer-tol", "predictions-shape"])
+        (lambda: save_predictions([[0.1, 0.9]], [[0.7, 1.0]], "unwritten.txt"), ValidationError,
+         "row 0: prediction labels must be binary (0/1 entries), got 0.7"),
+        (lambda: save_predictions([[0.1, 0.9]], [[2, 1]], "unwritten.txt"), ValidationError,
+         "row 0: prediction labels must be binary (0/1 entries), got 2"),
+    ], ids=["outer-tol", "predictions-shape", "predictions-fractional-label", "predictions-label-2"])
     def test_input_check_message(self, call, error, message, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)  # a path a broken check would write to
         with pytest.raises(error) as exc:
             call()
         assert type(exc.value) is error and str(exc.value) == message
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPersistence:
