@@ -46,7 +46,7 @@ _OPTIONS = {
 }
 _DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
 _FIT = ("data_format", "k", "alpha", "lambda1", "lambda2", "lambda2_grid", "cv_folds",
-        "tau", "admm_iters", "seed", "standardize_features", "add_bias")
+        "seed", "standardize_features", "add_bias")
 
 
 def _config_options(*fields):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -37,19 +38,16 @@ csr_matvecs = scipy_extension("sparse", "_sparsetools").csr_matvecs
 
 @dataclass(frozen=True)
 class PropagationConfig:
-    """Propagation rate, iteration cap and relative-change stop threshold."""
+    """The propagation weight ``alpha``, its only field; the iteration cap
+    ``max_iters`` (100) and stop threshold ``tol`` (1e-6) are class constants."""
 
     alpha: float = 0.05
-    max_iters: int = 100
-    tol: float = 1e-6
+    max_iters: ClassVar[int] = 100
+    tol: ClassVar[float] = 1e-6
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must lie in [0,1], got {self.alpha}")
-        if self.max_iters < 1:
-            raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not self.tol > 0:
-            raise ConfigError(f"tol must be positive, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -128,8 +126,8 @@ def enrich(ds: Dataset, graph: WeightGraph, cfg: PropagationConfig) -> Enrichmen
 
     ``trainer._iterate`` runs propagate/normalize until the relative
     Frobenius change ``||F_t - F_{t-1}|| / max(1, ||F_{t-1}||)`` drops
-    below ``cfg.tol`` or ``cfg.max_iters`` is reached; stopping at the
-    cap logs a warning on the ``pmltk.enrichment`` logger.
+    below ``tol`` or ``max_iters`` is reached (``PropagationConfig``
+    constants); stopping at the cap logs a warning on ``pmltk.enrichment``.
     Deterministic: identical inputs yield a bit-identical matrix.
     """
     if graph.n != ds.n:

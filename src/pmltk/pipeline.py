@@ -11,9 +11,9 @@ never sees the bias column.
 
 Every random draw is seeded through a hierarchy rooted at the master
 seed (numpy ``SeedSequence`` spawn keys), so adding splits never
-perturbs the results of earlier splits. The run holds BLAS at one
-thread (see ``_blas``), so for a given numpy/scipy build the whole
-report is a deterministic function of (dataset, config, seed).
+perturbs the results of earlier splits. BLAS runs at one thread (see
+``_blas``), so for one numpy/scipy build and CPU type the report is a
+deterministic function of (dataset with its row order, config, seed).
 
 The cross-validation folds are independent, so ``_run_folds`` runs
 them on up to one process per usable CPU. Each fold's arithmetic is the
@@ -81,8 +81,6 @@ class ExperimentConfig:
     lambda2: float | None = None
     lambda2_grid: tuple[float, ...] = (10.0, 100.0)
     cv_folds: int = 5
-    tau: float = TrainerConfig.tau
-    admm_iters: int = TrainerConfig.admm_iters
     seed: int = 0
     standardize_features: bool = False
     add_bias: bool = False
@@ -110,8 +108,7 @@ class ExperimentConfig:
         return PropagationConfig(alpha=self.alpha)
 
     def trainer_config(self, lambda2: float) -> TrainerConfig:
-        return TrainerConfig(lambda1=self.lambda1, lambda2=lambda2, tau=self.tau,
-                             admm_iters=self.admm_iters)
+        return TrainerConfig(lambda1=self.lambda1, lambda2=lambda2)
 
 
 def derive_seed(master: int, *path: int) -> int:

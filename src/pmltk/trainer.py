@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -63,34 +64,26 @@ dpotrf, dpotrs = _flapack.dpotrf, _flapack.dpotrs
 
 @dataclass(frozen=True)
 class TrainerConfig:
-    """Regularization weights and iteration controls.
-
-    ``lambda2`` defaults to the small end of the usual cross-validation
-    grid; the pipeline overrides it with the selected value. Weights may
-    be zero (useful for probing individual terms), the ADMM penalty must
-    stay positive.
-    """
+    """The objective's weights, its only fields. ``lambda2`` defaults to
+    the small end of the usual cross-validation grid; the pipeline
+    overrides it with the selected value. Weights may be zero (useful for
+    probing individual terms). The solver's controls are class constants:
+    the ADMM penalty ``tau`` (1.0) and passes per outer iteration
+    ``admm_iters`` (5), the outer cap ``outer_max`` (50) and the relative
+    objective change ``outer_tol`` (1e-5) that stops the loop before it."""
 
     lambda1: float = 1.0
     lambda2: float = 10.0
-    tau: float = 1.0
-    admm_iters: int = 5
-    outer_max: int = 50
-    outer_tol: float = 1e-5
+    tau: ClassVar[float] = 1.0
+    admm_iters: ClassVar[int] = 5
+    outer_max: ClassVar[int] = 50
+    outer_tol: ClassVar[float] = 1e-5
 
     def __post_init__(self):
-        if not np.isfinite([self.lambda1, self.lambda2, self.tau]).all():
-            raise ConfigError(
-                f"lambda1, lambda2 and tau must be finite, got {self.lambda1}, {self.lambda2}, {self.tau}"
-            )
+        if not np.isfinite([self.lambda1, self.lambda2]).all():
+            raise ConfigError(f"lambda1 and lambda2 must be finite, got {self.lambda1}, {self.lambda2}")
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ConfigError("regularization weights must be non-negative")
-        if not self.tau > 0:
-            raise ConfigError(f"ADMM penalty must be positive, got {self.tau}")
-        if self.admm_iters < 1 or self.outer_max < 1:
-            raise ConfigError("iteration caps must be >= 1")
-        if not self.outer_tol > 0:
-            raise ConfigError(f"outer_tol must be positive, got {self.outer_tol}")
 
 
 @dataclass
@@ -235,10 +228,10 @@ def update_c(state: TrainerState, Yhat, outside) -> np.ndarray:
 def update_b_admm(state: TrainerState, Yhat, cfg: TrainerConfig):
     """Inner ADMM on the correlation matrix.
 
-    Runs ``cfg.admm_iters`` passes of: auxiliary solve against the data
-    term, singular value thresholding at ``lambda1 / tau``, multiplier
-    ascent. Returns the new ``(B, Theta)`` pair; the auxiliary ``Bhat``
-    lives only inside a pass.
+    Runs ``TrainerConfig.admm_iters`` (5) passes of: auxiliary solve
+    against the data term, singular value thresholding at ``lambda1 / tau``
+    with the class constant ``tau`` (1.0), multiplier ascent. Returns the
+    new ``(B, Theta)`` pair; the auxiliary ``Bhat`` lives only inside a pass.
     """
     C = state.C
     tau = cfg.tau
@@ -337,10 +330,11 @@ def fit(X, Yhat, Y, cfg: TrainerConfig = TrainerConfig()):
     Initialization: C is the positive part of ``Yhat`` masked to the
     candidate set, B starts at the identity, Theta and W at zero.
     ``_iterate`` runs ``_step`` until the relative objective change
-    drops below ``cfg.outer_tol`` or ``cfg.outer_max`` is hit; the
-    latter logs a warning on the ``pmltk.trainer`` logger. The
-    objective need not fall (``update_c``): the stop can fire at a
-    turning point. ``W`` is formed from the ridge coefficients on return.
+    drops below ``TrainerConfig.outer_tol`` or ``outer_max`` is hit; the
+    latter logs a warning on the ``pmltk.trainer`` logger. The objective
+    need not fall (``update_c``): the stop can fire at a turning point.
+    ``W`` is formed from the ridge coefficients on return. A ``Y`` that
+    is not 0/1 raises ``ValidationError``.
 
     Returns ``(model, state, trace)`` where ``trace`` holds the
     objective at initialization and after every outer iteration, and
@@ -353,6 +347,7 @@ def fit(X, Yhat, Y, cfg: TrainerConfig = TrainerConfig()):
         raise ShapeError(
             f"inconsistent shapes: X{X.shape}, Yhat{Yhat.shape}, Y{Y.shape}"
         )
+    Y = _as_binary(Y, "Y")
     n, d = X.shape
     l = Yhat.shape[1]
     if n == 0 or d == 0 or l == 0:

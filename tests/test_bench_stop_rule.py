@@ -37,9 +37,10 @@ def problem():
     return ds, np.where(ds.Y == 1, F, F - 1.0)
 
 
-def converged_iters():
+def converged_iters(monkeypatch):
     ds, Yhat = problem()
-    _, _, trace = pmltk.fit(ds.X, Yhat, ds.Y, TrainerConfig(outer_tol=1e-2))
+    monkeypatch.setattr(TrainerConfig, "outer_tol", 1e-2)
+    _, _, trace = pmltk.fit(ds.X, Yhat, ds.Y, TrainerConfig())
     return len(trace) - 1
 
 
@@ -48,12 +49,14 @@ def converged_iters():
     (50, 1e-2, False, False),
     (None, 1e-2, True, False),  # the step that converges is the last one allowed
 ], ids=["capped", "converged", "converged-at-cap"])
-def test_recorded_fit_runs_agree_with_fit(traced, caplog, cap, tol, at_cap, warns):
-    cap = converged_iters() if cap is None else cap
+def test_recorded_fit_runs_agree_with_fit(traced, caplog, monkeypatch, cap, tol, at_cap, warns):
+    cap = converged_iters(monkeypatch) if cap is None else cap
     ds, Yhat = problem()
+    monkeypatch.setattr(TrainerConfig, "outer_max", cap)
+    monkeypatch.setattr(TrainerConfig, "outer_tol", tol)
     traced.enabled = True
     with caplog.at_level(logging.WARNING, logger="pmltk"):
-        _, _, trace = pmltk.fit(ds.X, Yhat, ds.Y, TrainerConfig(outer_max=cap, outer_tol=tol))
+        _, _, trace = pmltk.fit(ds.X, Yhat, ds.Y, TrainerConfig())
     iters = len(trace) - 1
     warned = any("fit stopped at outer_max" in r.getMessage() for r in caplog.records)
     assert traced.fit_runs == [(iters, warned)]
@@ -61,11 +64,13 @@ def test_recorded_fit_runs_agree_with_fit(traced, caplog, cap, tol, at_cap, warn
     assert span_count(traced, "trainer.objective") == len(trace)
 
 
-def test_traced_propagation_steps_are_enrich_iterations(traced, caplog):
+def test_traced_propagation_steps_are_enrich_iterations(traced, caplog, monkeypatch):
     ds = random_dataset(n=15, d=3, l=4, seed=2)
     graph = pmltk.build_graph(ds.X, KnnConfig(k=4))
+    monkeypatch.setattr(PropagationConfig, "max_iters", 3)
+    monkeypatch.setattr(PropagationConfig, "tol", 1e-12)
     traced.enabled = True
     with caplog.at_level(logging.WARNING, logger="pmltk"):
-        pmltk.enrich(ds, graph, PropagationConfig(max_iters=3, tol=1e-12))
+        pmltk.enrich(ds, graph, PropagationConfig())
     assert span_count(traced, "enrichment.normalize_step") == 3
     assert any("enrich stopped at max_iters=3" in r.getMessage() for r in caplog.records)

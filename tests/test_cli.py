@@ -36,18 +36,16 @@ FLAGS = {
     "train": {
         "--enrichment": None, "--data-format": "sparse-multilabel", "--k": 10,
         "--alpha": 0.05, "--lambda1": 1.0, "--lambda2": None, "--lambda2-grid": "10,100",
-        "--cv-folds": 5, "--tau": 1.0, "--admm-iters": 5, "--seed": 0,
-        "--standardize-features": False, "--add-bias": False, "--out": REQUIRED,
-        "--trace-out": None,
+        "--cv-folds": 5, "--seed": 0, "--standardize-features": False, "--add-bias": False,
+        "--out": REQUIRED, "--trace-out": None,
     },
     "predict": {"--data-format": "sparse-multilabel", "--out": REQUIRED},
     "evaluate": {"--data-format": "sparse-multilabel", "--format": "json", "--out": None},
     "benchmark": {
         "--noise": 100, "--splits": 5, "--split-fraction": 0.5,
         "--data-format": "sparse-multilabel", "--k": 10, "--alpha": 0.05, "--lambda1": 1.0,
-        "--lambda2": None, "--lambda2-grid": "10,100", "--cv-folds": 5, "--tau": 1.0,
-        "--admm-iters": 5, "--seed": 0, "--standardize-features": False,
-        "--add-bias": False, "--format": "json", "--out": None,
+        "--lambda2": None, "--lambda2-grid": "10,100", "--cv-folds": 5, "--seed": 0,
+        "--standardize-features": False, "--add-bias": False, "--format": "json", "--out": None,
     },
 }
 

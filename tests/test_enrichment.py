@@ -36,8 +36,8 @@ def propagated(monkeypatch, Y, graph, alpha, first=None):
         return returns.pop() if returns else F
 
     monkeypatch.setattr(enrichment, "normalize_step", record)
-    cfg = PropagationConfig(alpha=alpha, max_iters=len(returns) + 1)
-    enrich(Dataset(np.zeros((graph.n, 1)), Y), graph, cfg)
+    monkeypatch.setattr(PropagationConfig, "max_iters", len(returns) + 1)
+    enrich(Dataset(np.zeros((graph.n, 1)), Y), graph, PropagationConfig(alpha=alpha))
     return seen[-1]
 
 
@@ -191,21 +191,24 @@ class TestEnrich:
         F = np.where(cand, em.Yhat, em.Yhat + 1.0)
         assert (normalize_step(F, ds.Y) == F).all()
 
-    def test_single_pass_hand_trace(self):
+    def test_single_pass_hand_trace(self, monkeypatch):
         X = np.array([[0.0, 0.0], [1.0, 0.0]])
         ds = Dataset(X, np.array([[1, 0], [0, 1]]))
         g = two_node_graph()
-        em = enrich(ds, g, PropagationConfig(alpha=0.5, tol=np.inf))
+        monkeypatch.setattr(PropagationConfig, "tol", np.inf)
+        em = enrich(ds, g, PropagationConfig(alpha=0.5))
         # one propagate gives the constant 0.5 matrix; per-row normalization is
         # degenerate and resets candidates to 1, so signing yields +-1
         assert em.Yhat.tolist() == [[1.0, -1.0], [-1.0, 1.0]]
 
-    def test_zero_graph_fixed_point_in_one_iteration(self):
+    def test_zero_graph_fixed_point_in_one_iteration(self, monkeypatch):
         ds = random_dataset(n=10, d=3, l=5, seed=3)
         nbrs = np.stack([(np.arange(10) + 1) % 10, (np.arange(10) + 2) % 10], axis=1)
         zero = WeightGraph(nbrs, np.zeros((10, 2)))
-        one = enrich(ds, zero, PropagationConfig(max_iters=1))
-        many = enrich(ds, zero, PropagationConfig(max_iters=100))
+        monkeypatch.setattr(PropagationConfig, "max_iters", 1)
+        one = enrich(ds, zero, PropagationConfig())
+        monkeypatch.setattr(PropagationConfig, "max_iters", 100)
+        many = enrich(ds, zero, PropagationConfig())
         assert (one.Yhat == many.Yhat).all()
 
     def test_deterministic(self):
@@ -220,11 +223,13 @@ class TestEnrich:
         with pytest.raises(ShapeError):
             enrich(ds, two_node_graph(), PropagationConfig())
 
-    def test_warns_when_capped(self, caplog):
+    def test_warns_when_capped(self, caplog, monkeypatch):
         ds = random_dataset(n=15, d=3, l=4, seed=2)
         g = build_graph(ds.X, KnnConfig(k=4))
+        monkeypatch.setattr(PropagationConfig, "max_iters", 1)
+        monkeypatch.setattr(PropagationConfig, "tol", 1e-12)
         with caplog.at_level(logging.WARNING, logger="pmltk"):
-            enrich(ds, g, PropagationConfig(max_iters=1, tol=1e-12))
+            enrich(ds, g, PropagationConfig())
         [record] = caplog.records
         assert record.name == "pmltk.enrichment"
         F0 = ds.Y.astype(float)
@@ -248,17 +253,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             PropagationConfig(alpha=-0.1)
 
-    def test_tol_positive(self):
-        with pytest.raises(ConfigError):
-            PropagationConfig(tol=0.0)
-
     @pytest.mark.parametrize("call, error, message", [
-        (lambda: PropagationConfig(max_iters=0), ConfigError, "max_iters must be >= 1, got 0"),
         (lambda: enrichment.EnrichmentMatrix(np.zeros(3)), ShapeError,
          "enrichment must be 2-d, got ndim=1"),
         (lambda: normalize_step(np.zeros((2, 3)), np.ones((3, 2))), ShapeError,
          "F(2, 3) and Y(3, 2) must match"),
-    ], ids=["max-iters", "enrichment-ndim", "normalize-shape"])
+    ], ids=["enrichment-ndim", "normalize-shape"])
     def test_input_check_message(self, call, error, message):
         with pytest.raises(error) as exc:
             call()

@@ -52,7 +52,8 @@ def learn(monkeypatch, train, X_test, T_test):
     monkeypatch.setattr(enrichment, "normalize_step", lambda F, Y: steps.append(1) or normalize(F, Y))
     em = enrich(train, build_graph(train.X, KnnConfig(k=5)), PropagationConfig(alpha=0.5))
     # outer_tol stops both fits before the cap, so the outer counts are compared
-    model, _, trace = fit(train.X, em.Yhat, train.Y, TrainerConfig(outer_tol=1e-3))
+    monkeypatch.setattr(TrainerConfig, "outer_tol", 1e-3)
+    model, _, trace = fit(train.X, em.Yhat, train.Y, TrainerConfig())
     assert len(trace) - 1 < TrainerConfig().outer_max
     scores, labels = predict(model, X_test)
     return em.Yhat, scores, labels, evaluate(scores, labels, T_test).to_dict(), (len(steps), len(trace) - 1)

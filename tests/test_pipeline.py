@@ -619,6 +619,33 @@ class TestErrorContext:
 
 
 class TestConfigValidation:
+    def test_stage_configs_hold_only_hyperparameters(self):
+        # the method's four hyperparameters are the only fields; the solvers'
+        # controls are class constants, at the values the reference reports
+        # were recorded with
+        names = [[f.name for f in dataclasses.fields(c)]
+                 for c in (KnnConfig, PropagationConfig, TrainerConfig)]
+        assert names == [["k"], ["alpha"], ["lambda1", "lambda2"]]
+        constants = [(PropagationConfig, "max_iters", 100), (PropagationConfig, "tol", 1e-6),
+                     (TrainerConfig, "tau", 1.0), (TrainerConfig, "admm_iters", 5),
+                     (TrainerConfig, "outer_max", 50), (TrainerConfig, "outer_tol", 1e-5)]
+        for cls, name, value in constants:
+            held = getattr(cls, name)
+            assert type(held) is type(value) and held == value, name
+
+    @pytest.mark.parametrize("make", [
+        lambda: TrainerConfig(tau=0.0), lambda: TrainerConfig(admm_iters=0),
+        lambda: TrainerConfig(outer_max=3), lambda: TrainerConfig(outer_tol=0),
+        lambda: PropagationConfig(max_iters=0), lambda: PropagationConfig(tol=1e-3),
+        lambda: ExperimentConfig(dataset="no-such-file.sml", tau=0.0),
+        lambda: ExperimentConfig(dataset="no-such-file.sml", admm_iters=0),
+    ], ids=["TrainerConfig-tau", "TrainerConfig-admm_iters", "TrainerConfig-outer_max",
+            "TrainerConfig-outer_tol", "PropagationConfig-max_iters", "PropagationConfig-tol",
+            "ExperimentConfig-tau", "ExperimentConfig-admm_iters"])
+    def test_solver_controls_are_not_keywords(self, make):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            make()
+
     def test_bad_grid(self, toy_file):
         with pytest.raises(ConfigError):
             ExperimentConfig(dataset=str(toy_file), lambda2_grid=())
@@ -640,8 +667,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("over", [
         dict(lambda2=float("nan")), dict(lambda2_grid=(float("nan"), 10.0)),
-        dict(lambda2=10.0, lambda2_grid=(-1.0,)), dict(lambda1=-1.0), dict(tau=0.0),
-        dict(admm_iters=0), dict(k=0), dict(alpha=2.0), dict(noise=-1),
+        dict(lambda2=10.0, lambda2_grid=(-1.0,)), dict(lambda1=-1.0), dict(k=0),
+        dict(alpha=2.0), dict(noise=-1),
         dict(split_fraction=1.0), dict(seed=-1),
     ], ids=lambda over: ",".join(f"{k}={v}" for k, v in over.items()))
     def test_stage_settings_checked_at_construction(self, over):
@@ -665,7 +692,7 @@ class TestConfigValidation:
             argv += ["--out", str(tmp_path / "model.txt")]
         assert main(argv) == 1
         [line] = capsys.readouterr().err.splitlines()
-        assert line.startswith("error: lambda1, lambda2 and tau must be finite")
+        assert line.startswith("error: lambda1 and lambda2 must be finite")
         assert graphs == []
 
 

@@ -135,7 +135,7 @@ class TestProxNuclear:
 
 
 class TestUpdateBAdmm:
-    def test_degenerate_data_term(self):
+    def test_degenerate_data_term(self, monkeypatch):
         rng = np.random.default_rng(5)
         l = 3
         B = rng.normal(size=(l, l))
@@ -143,7 +143,8 @@ class TestUpdateBAdmm:
         state = trainer_state(
             np.zeros((4, 2)), C=np.zeros((4, l)), B=B, Theta=Theta, W=np.zeros((2, l))
         )
-        cfg = TrainerConfig(tau=1.0, admm_iters=1, lambda1=1.0)
+        monkeypatch.setattr(TrainerConfig, "admm_iters", 1)
+        cfg = TrainerConfig(lambda1=1.0)
         B1, Theta1 = update_b_admm(state, np.zeros((4, l)), cfg)
         Bhat = B1 - (Theta1 - Theta) / cfg.tau  # the pass's auxiliary, from its ascent step
         assert np.allclose(Bhat, B + Theta, atol=1e-12)
@@ -158,11 +159,11 @@ class TestUpdateBAdmm:
         )
         # with lambda1=0 the thresholding is the identity, so B==Bhat after
         # each pass and the multipliers never move off zero
-        cfg = TrainerConfig(lambda1=0.0, tau=1.0, admm_iters=5)
+        cfg = TrainerConfig(lambda1=0.0)
         _, Theta = update_b_admm(state, Yhat, cfg)
         assert np.abs(Theta).max() <= 1e-12
 
-    def test_auxiliary_step_is_exact_minimizer(self):
+    def test_auxiliary_step_is_exact_minimizer(self, monkeypatch):
         rng = np.random.default_rng(7)
         n, l = 8, 4
         C = rng.random((n, l))
@@ -170,7 +171,9 @@ class TestUpdateBAdmm:
         B = rng.normal(size=(l, l))
         Theta = rng.normal(size=(l, l))
         state = trainer_state(np.zeros((n, 2)), C=C, B=B, Theta=Theta, W=np.zeros((2, l)))
-        cfg = TrainerConfig(tau=1.7, admm_iters=1, lambda1=0.5)
+        monkeypatch.setattr(TrainerConfig, "tau", 1.7)
+        monkeypatch.setattr(TrainerConfig, "admm_iters", 1)
+        cfg = TrainerConfig(lambda1=0.5)
         B1, Theta1 = update_b_admm(state, Yhat, cfg)
         Bhat = B1 - (Theta1 - Theta) / cfg.tau  # the pass's auxiliary, from its ascent step
         grad = 2.0 * C.T @ (C @ Bhat - Yhat) + cfg.tau * Bhat - cfg.tau * B - Theta
@@ -227,11 +230,12 @@ class TestUpdateW:
 
 
 class TestFit:
-    def test_single_outer_iteration_trace(self):
+    def test_single_outer_iteration_trace(self, monkeypatch):
         ds = random_dataset(n=8, d=3, l=4, seed=12)
         rng = np.random.default_rng(12)
         Yhat = signed_enrichment(ds.Y, rng)
-        _, _, trace = fit(ds.X, Yhat, ds.Y, TrainerConfig(outer_max=1))
+        monkeypatch.setattr(TrainerConfig, "outer_max", 1)
+        _, _, trace = fit(ds.X, Yhat, ds.Y, TrainerConfig())
         assert len(trace) == 2
 
     def test_identity_toy_objective_decreases(self):
@@ -265,7 +269,7 @@ class TestFit:
         ds = random_dataset(n=12, d=5, l=4, seed=16)
         rng = np.random.default_rng(16)
         Yhat = signed_enrichment(ds.Y, rng)
-        cfg = TrainerConfig(outer_max=4)
+        cfg = TrainerConfig()
         # replay the loop manually, checking the W block each time
         state = trainer_state(
             ds.X, C=np.where(ds.Y == 1, np.maximum(Yhat, 0.0), 0.0),
@@ -296,11 +300,13 @@ class TestFit:
         with pytest.raises(NumericError):
             fit(np.zeros((3, 2)), Yhat, np.ones((3, 2)), TrainerConfig())
 
-    def test_warns_when_capped(self, caplog):
+    def test_warns_when_capped(self, caplog, monkeypatch):
         ds = random_dataset(n=12, d=4, l=3, seed=5)
         Yhat = signed_enrichment(ds.Y, np.random.default_rng(5))
+        monkeypatch.setattr(TrainerConfig, "outer_max", 2)
+        monkeypatch.setattr(TrainerConfig, "outer_tol", 1e-12)
         with caplog.at_level(logging.WARNING, logger="pmltk"):
-            _, _, trace = fit(ds.X, Yhat, ds.Y, TrainerConfig(outer_max=2, outer_tol=1e-12))
+            _, _, trace = fit(ds.X, Yhat, ds.Y, TrainerConfig())
         assert len(trace) == 3
         [record] = caplog.records
         assert record.name.startswith("pmltk")
@@ -308,11 +314,12 @@ class TestFit:
         assert "outer_max=2" in record.getMessage()
         assert f"last relative change {change:.3g}" in record.getMessage()
 
-    def test_silent_when_converged(self, caplog):
+    def test_silent_when_converged(self, caplog, monkeypatch):
         ds = random_dataset(n=12, d=4, l=3, seed=5)
         Yhat = signed_enrichment(ds.Y, np.random.default_rng(5))
+        monkeypatch.setattr(TrainerConfig, "outer_tol", 1e-2)
         with caplog.at_level(logging.WARNING, logger="pmltk"):
-            _, _, trace = fit(ds.X, Yhat, ds.Y, TrainerConfig(outer_max=50, outer_tol=1e-2))
+            _, _, trace = fit(ds.X, Yhat, ds.Y, TrainerConfig())
         assert len(trace) - 1 < 50
         assert caplog.records == []
 
@@ -528,7 +535,8 @@ class TestCachedLoop:
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(trainer, name, counted)
         X, Yhat, Y = fit_problem(n, d, l, seed)
-        cfg = TrainerConfig(lambda2=lam, admm_iters=3)
+        monkeypatch.setattr(TrainerConfig, "admm_iters", 3)
+        cfg = TrainerConfig(lambda2=lam)
         _, _, trace = fit(X, Yhat, Y, cfg)
         iters = len(trace) - 1
         assert iters >= 2
@@ -548,7 +556,9 @@ class TestCachedLoop:
             return _fn(state, Yhat, outside)
         monkeypatch.setattr(trainer, "update_c", recording)
         X, Yhat, Y = fit_problem(*PRIMAL_PROBLEMS[0][:4])
-        _, _, trace = fit(X, Yhat, Y, TrainerConfig(outer_max=3, outer_tol=1e-12))
+        monkeypatch.setattr(TrainerConfig, "outer_max", 3)
+        monkeypatch.setattr(TrainerConfig, "outer_tol", 1e-12)
+        _, _, trace = fit(X, Yhat, Y, TrainerConfig())
         assert len(masks) == len(trace) - 1 == 3
         assert all(m is masks[0] for m in masks)
         assert (masks[0] == (Y == 0)).all()
@@ -609,29 +619,25 @@ class TestPredict:
 class TestConfigValidation:
     @pytest.mark.parametrize("field,value", [
         ("lambda1", -1.0),
-        *((f, v) for f in ("lambda1", "lambda2", "tau") for v in (np.nan, np.inf, -np.inf)),
+        *((f, v) for f in ("lambda1", "lambda2") for v in (np.nan, np.inf, -np.inf)),
     ])
     def test_rejects_negative_weights(self, field, value):
         with pytest.raises(ConfigError):
             TrainerConfig(**{field: value})
 
-    def test_rejects_nonpositive_tau(self):
-        with pytest.raises(ConfigError):
-            TrainerConfig(tau=0.0)
-
-    def test_rejects_zero_iters(self):
-        with pytest.raises(ConfigError):
-            TrainerConfig(admm_iters=0)
-
     @pytest.mark.parametrize("call, error, message", [
-        (lambda: TrainerConfig(outer_tol=0), ConfigError, "outer_tol must be positive, got 0"),
+        (lambda: fit(np.eye(2), np.zeros((2, 2)), [[0.5, 1.0], [1.0, 0.0]]), ValidationError,
+         "row 0: Y must be binary (0/1 entries), got 0.5"),
+        (lambda: fit(np.eye(2), np.zeros((2, 2)), [[1, 0], [2, 1]]), ValidationError,
+         "row 1: Y must be binary (0/1 entries), got 2"),
         (lambda: save_predictions(np.zeros((2, 3)), np.zeros((2, 2)), "unwritten.txt"),
          ShapeError, "scores(2, 3) and labels(2, 2) must match"),
         (lambda: save_predictions([[0.1, 0.9]], [[0.7, 1.0]], "unwritten.txt"), ValidationError,
          "row 0: prediction labels must be binary (0/1 entries), got 0.7"),
         (lambda: save_predictions([[0.1, 0.9]], [[2, 1]], "unwritten.txt"), ValidationError,
          "row 0: prediction labels must be binary (0/1 entries), got 2"),
-    ], ids=["outer-tol", "predictions-shape", "predictions-fractional-label", "predictions-label-2"])
+    ], ids=["fit-fractional-label", "fit-label-2", "predictions-shape",
+            "predictions-fractional-label", "predictions-label-2"])
     def test_input_check_message(self, call, error, message, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)  # a path a broken check would write to
         with pytest.raises(error) as exc:
