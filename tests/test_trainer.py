@@ -619,11 +619,16 @@ class TestPredict:
 class TestConfigValidation:
     @pytest.mark.parametrize("field,value", [
         ("lambda1", -1.0),
-        *((f, v) for f in ("lambda1", "lambda2") for v in (np.nan, np.inf, -np.inf)),
+        *((f, v) for f in ("lambda1", "lambda2", "tau") for v in (np.nan, np.inf, -np.inf)),
     ])
     def test_rejects_negative_weights(self, field, value):
-        with pytest.raises(ConfigError):
+        # tau is a class constant, so no value of it gets in as a keyword
+        with pytest.raises(TypeError if field == "tau" else ConfigError):
             TrainerConfig(**{field: value})
+
+    def test_rejects_nonpositive_tau(self):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            TrainerConfig(tau=0.0)
 
     @pytest.mark.parametrize("call, error, message", [
         (lambda: fit(np.eye(2), np.zeros((2, 2)), [[0.5, 1.0], [1.0, 0.0]]), ValidationError,
